@@ -5,13 +5,17 @@ import (
 	"math"
 	"os"
 	"sort"
-	"testing"
 	"time"
 
+	"pi2/internal/catalog"
+	"pi2/internal/core"
+	"pi2/internal/dataset"
 	"pi2/internal/engine"
 	"pi2/internal/iface"
 	"pi2/internal/obs"
 	"pi2/internal/sqlparser"
+	"pi2/internal/transform"
+	"pi2/internal/workload"
 )
 
 // servingInstruments is the exact per-request metric set the serving
@@ -43,65 +47,6 @@ func (si *servingInstruments) interact(es *exploreServing, sess *iface.Session, 
 	si.inFlight.Dec()
 	si.lat.ObserveDuration(obs.NowMono() - t0)
 	return err
-}
-
-// obsBenches measures the observability overhead variants for the
-// trajectory report: the cached session interaction with serving metrics
-// recorded per op, and the engine hash join executed under per-operator
-// profiling. Compare against SessionInteraction/cached and EngineJoin/hash.
-func obsBenches(es *exploreServing) ([]BenchResult, error) {
-	sess, err := iface.NewSession(es.ifc, es.ctx, es.db)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < es.queries; i++ {
-		if err := es.interact(sess, i); err != nil {
-			return nil, err
-		}
-	}
-	si := newServingInstruments()
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := si.interact(es, sess, i); err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if benchErr != nil {
-		return nil, fmt.Errorf("pi2bench: instrumented session bench: %w", benchErr)
-	}
-	out := []BenchResult{{
-		Name: "SessionInteraction/cached-metrics", Iterations: r.N, NsPerOp: r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
-	}}
-
-	db := newEngineBenchDB()
-	ast, err := sqlparser.Parse(`SELECT f.v, d.label FROM fact AS f, dim AS d WHERE f.k = d.k AND f.v > 25`)
-	if err != nil {
-		return nil, err
-	}
-	r = testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan, err := engine.Prepare(db, ast)
-			if err == nil {
-				_, _, err = plan.ExecProfiled()
-			}
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if benchErr != nil {
-		return nil, fmt.Errorf("pi2bench: profiled join bench: %w", benchErr)
-	}
-	out = append(out, BenchResult{
-		Name: "EngineJoin/hash-profiled", Iterations: r.N, NsPerOp: r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
-	})
-	return out, nil
 }
 
 // runOverheadCheck is the CI guard: it measures the cached session
@@ -214,4 +159,52 @@ func runOverheadCheck(maxRatio float64) error {
 	}
 	return fmt.Errorf("pi2bench: metrics overhead %.2f%% exceeds %.2f%% budget in %d passes",
 		(best-1)*100, (maxRatio-1)*100, attempts)
+}
+
+// exploreServing is the overhead check's fixture: the generated Explore
+// interface plus an interact closure that applies one pan event and
+// re-executes the bound queries.
+type exploreServing struct {
+	ifc      *iface.Interface
+	ctx      *transform.Context
+	db       *engine.DB
+	queries  int // len of the Explore log, for warm-up loop bounds
+	interact func(*iface.Session, int) error
+}
+
+func newExploreServing() (*exploreServing, error) {
+	wl := workload.Explore()
+	edb := dataset.NewDB()
+	ecat := catalog.Build(edb, dataset.Keys())
+	res, err := core.Generate(wl.Queries, edb, ecat, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Interface.VisInts) == 0 {
+		return nil, fmt.Errorf("pi2bench: Explore interface has no visualization interactions")
+	}
+	asts, err := sqlparser.ParseAll(wl.Queries)
+	if err != nil {
+		return nil, err
+	}
+	vi := res.Interface.VisInts[0]
+	srcElem := res.Interface.Vis[vi.SourceVis].ElemID
+	kind := string(vi.Kind)
+	viewports := [][]string{
+		{"50", "60", "27", "38"},
+		{"60", "90", "16", "30"},
+	}
+	return &exploreServing{
+		ifc:     res.Interface,
+		ctx:     &transform.Context{Queries: asts, Cat: ecat},
+		db:      edb,
+		queries: len(wl.Queries),
+		interact: func(sess *iface.Session, i int) error {
+			if err := sess.Brush(srcElem, kind, viewports[i%2]...); err != nil {
+				return err
+			}
+			_, err := sess.Results()
+			return err
+		},
+	}, nil
 }

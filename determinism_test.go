@@ -51,25 +51,3 @@ func TestSameSeedByteIdenticalInterface(t *testing.T) {
 		})
 	}
 }
-
-// TestSharedCacheAblationSameInterface: turning the shared caches off must
-// not change the generated interface, only how often work repeats.
-func TestSharedCacheAblationSameInterface(t *testing.T) {
-	wl := workload.Explore()
-	render := func(shared bool) string {
-		db := dataset.NewDB()
-		gen := NewGenerator(db, dataset.Keys())
-		gen.Config.Search.Workers = 3
-		gen.Config.Search.SyncInterval = 5
-		gen.Config.Search.MaxIterations = 120
-		gen.Config.Search.SharedCaches = shared
-		res, err := gen.Generate(wl.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return iface.RenderText(res.Interface)
-	}
-	if on, off := render(true), render(false); on != off {
-		t.Errorf("shared-cache ablation changed the interface:\n--- shared ---\n%s\n--- private ---\n%s", on, off)
-	}
-}

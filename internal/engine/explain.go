@@ -130,7 +130,7 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 	}
 	if len(pq.order) > 0 {
 		line := fmt.Sprintf("%sorder by: %d key(s)", ind, len(pq.order))
-		if pq.opt && pq.limitErr == nil && pq.limit >= 0 {
+		if pq.limitErr == nil && pq.limit >= 0 {
 			line += fmt.Sprintf(" (top-k heap, limit %d)", pq.limit)
 		}
 		sb.WriteString(line + "\n")

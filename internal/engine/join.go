@@ -26,7 +26,7 @@ import "time"
 //     remaining pure conjuncts evaluate per bucket row;
 //   - filtered nested loop otherwise: the full compiled ON (Kleene AND)
 //     evaluates per candidate pair, preserving the interpreter's error
-//     order exactly. PrepareUnoptimized always uses this mode.
+//     order exactly.
 //
 // The purity gate mirrors pipeline.go: under three-valued logic a NULL
 // conjunct does not stop AND evaluation, so skipping candidates early is
@@ -37,7 +37,7 @@ type planJoin struct {
 	typ string // "cross", "inner", "left", "right" or "full"
 	on  exprFn // full compiled ON condition; nil for "cross"
 
-	// Hash equi-join decomposition (optimized plans with a pure ON only).
+	// Hash equi-join decomposition (pure ON conditions only).
 	hash  bool
 	probe []exprFn // key exprs over frames bound at earlier levels
 	build []exprFn // key exprs over this level's frame alone
@@ -66,9 +66,9 @@ func (c *compiler) compileJoins(pq *planQuery, entries []fromEntry, outer *scope
 		if en.on == nil {
 			continue
 		}
-		pc := &compiler{db: c.db, sc: &scope{sources: pq.sources[:i+1], outer: outer}, deps: c.deps, noPipe: c.noPipe}
+		pc := &compiler{db: c.db, sc: &scope{sources: pq.sources[:i+1], outer: outer}, deps: c.deps}
 		jn.on = pc.compile(en.on)
-		if c.noPipe || !pc.conjunctProps(en.on).pure {
+		if !pc.conjunctProps(en.on).pure {
 			continue
 		}
 		for _, conj := range flattenAnd(en.on, nil) {

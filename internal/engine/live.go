@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Live data: the append path and its changelog.
+// Live data: the append path.
 //
 // Append is copy-on-write over immutable snapshots: it builds a new *Table
 // whose Rows slice extends the old one and publishes it under db.mu. The
@@ -22,22 +22,9 @@ import (
 // writers is whatever the mutex arbitration yields. The append-churn race
 // tests pin the reader/writer interleavings.
 
-// ChangeBatch is one committed append: the rows added to a table in a single
-// Append call. Batches are totally ordered by Global (the global generation
-// the batch committed at) and per table by Seq (1-based, gapless per table),
-// which is what makes the changelog replayable as a replication primitive.
-// Rows shares the table snapshot's backing storage; treat it as immutable.
-type ChangeBatch struct {
-	Table  string // lowercased table name
-	Seq    uint64 // per-table sequence number, 1-based
-	Global uint64 // global generation at commit
-	Rows   [][]Value
-}
-
-// Append adds rows to the named table, publishing a new snapshot and
-// recording the batch in the changelog. Every row must have exactly one
-// value per column; rows are shared with the table (callers must not mutate
-// them afterwards). Appending zero rows is a no-op.
+// Append adds rows to the named table, publishing a new snapshot. Every row
+// must have exactly one value per column; rows are shared with the table
+// (callers must not mutate them afterwards). Appending zero rows is a no-op.
 func (db *DB) Append(table string, rows [][]Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -58,56 +45,16 @@ func (db *DB) Append(table string, rows [][]Value) error {
 	nt := &Table{Name: old.Name, Cols: old.Cols, Types: old.Types, Rows: append(old.Rows, rows...)}
 	db.Tables[key] = nt
 	db.bumpLocked(key, old)
-	db.seqs[key]++
-	db.clog = append(db.clog, ChangeBatch{
-		Table:  key,
-		Seq:    db.seqs[key],
-		Global: db.gen.Load(),
-		Rows:   nt.Rows[len(old.Rows):],
-	})
 	db.appends.Add(1)
 	db.appendRows.Add(uint64(len(rows)))
 	return nil
 }
 
-// Changes returns the changelog batches committed after the given global
-// generation, in commit order — the resume point for a replica that saw
-// everything up to sinceGlobal.
-func (db *DB) Changes(sinceGlobal uint64) []ChangeBatch {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	i := len(db.clog)
-	for i > 0 && db.clog[i-1].Global > sinceGlobal {
-		i--
-	}
-	if i == len(db.clog) {
-		return nil
-	}
-	out := make([]ChangeBatch, len(db.clog)-i)
-	copy(out, db.clog[i:])
-	return out
-}
-
-// ChangelogDepth reports the number of batches currently retained.
-func (db *DB) ChangelogDepth() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.clog)
-}
-
-// TrimChangelog drops batches committed at or before the given global
-// generation, bounding changelog memory once replicas have caught up.
-func (db *DB) TrimChangelog(uptoGlobal uint64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	i := 0
-	for i < len(db.clog) && db.clog[i].Global <= uptoGlobal {
-		i++
-	}
-	if i > 0 {
-		db.clog = append([]ChangeBatch(nil), db.clog[i:]...)
-	}
-}
+// ChangelogDepth always returns 0: the engine keeps no changelog, so rows
+// appended to a snapshot live only as long as that snapshot is reachable.
+// The per-table generation counters carry the whole invalidation contract.
+// Kept for callers that report the depth.
+func (db *DB) ChangelogDepth() int { return 0 }
 
 // AppendCounters is a monotonic snapshot of the append path's activity,
 // surfaced through /metrics and the /stats obs object next to IndexCounters
@@ -115,7 +62,6 @@ func (db *DB) TrimChangelog(uptoGlobal uint64) {
 type AppendCounters struct {
 	Appends       uint64 `json:"appends"`       // committed Append batches
 	Rows          uint64 `json:"rows"`          // total rows across those batches
-	ChangelogLen  uint64 `json:"changelog_len"` // batches currently retained
 	Invalidations uint64 `json:"invalidations"` // table snapshots replaced (all tables)
 }
 
@@ -126,12 +72,10 @@ func (db *DB) AppendCounters() AppendCounters {
 	for _, n := range db.inval {
 		inv += n
 	}
-	depth := uint64(len(db.clog))
 	db.mu.Unlock()
 	return AppendCounters{
 		Appends:       db.appends.Load(),
 		Rows:          db.appendRows.Load(),
-		ChangelogLen:  depth,
 		Invalidations: inv,
 	}
 }

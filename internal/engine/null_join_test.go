@@ -2,8 +2,8 @@ package engine
 
 // Regression tests for the three-valued NULL contract (comparisons, AND/OR/
 // NOT, BETWEEN, IN, LIKE) and for outer-join emission. Every SQL-level case
-// runs through checkExecEquivalence first, so the interpreter, the
-// unoptimized plan and the operator pipeline are asserted bit-for-bit
+// runs through checkExecEquivalence first, so the interpreter and every
+// compiled path (pipeline, forced-index, forced-vec) are asserted bit-for-bit
 // identical before the expected rows are checked against the interpreter.
 
 import (

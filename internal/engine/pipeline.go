@@ -713,7 +713,7 @@ func (pq *planQuery) stepInto(st *pipeStep, probe *rowEnv, i int, rec func(int) 
 //
 //   - collect (the reference behavior): accumulate everything, dedupe, full
 //     stable sort, truncate;
-//   - top-K (optimized plans with ORDER BY + LIMIT): a bounded heap keeps
+//   - top-K (ORDER BY + LIMIT): a bounded heap keeps
 //     only the limit rows, with the input sequence number as tiebreaker so
 //     the result equals stable-sort-then-truncate without materializing the
 //     full sort.
@@ -735,14 +735,14 @@ type rowSink struct {
 	seq  int
 }
 
-// initSink picks top-K mode when the plan is optimized and has both an
-// ORDER BY and a valid LIMIT; otherwise collect mode. The sink lives on
-// the caller's stack — per-execution heap allocation only happens when
-// top-K state is actually needed.
+// initSink picks top-K mode when the plan has both an ORDER BY and a valid
+// LIMIT; otherwise collect mode. The sink lives on the caller's stack —
+// per-execution heap allocation only happens when top-K state is actually
+// needed.
 func (pq *planQuery) initSink(s *rowSink) {
 	s.distinct = pq.distinct
 	s.desc = pq.orderDesc
-	if pq.opt && pq.limitErr == nil && pq.limit >= 0 && len(pq.order) > 0 {
+	if pq.limitErr == nil && pq.limit >= 0 && len(pq.order) > 0 {
 		s.top = &topKHeap{k: pq.limit, desc: pq.orderDesc}
 		if pq.distinct {
 			s.seen = map[string]bool{}

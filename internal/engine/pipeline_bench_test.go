@@ -5,15 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	dt "pi2/internal/difftree"
 	"pi2/internal/sqlparser"
 )
 
-// Micro-benchmarks for the operator pipeline, each paired with its
-// unoptimized (cross product + full sort) baseline so the speedup is
-// visible in one `go test -bench BenchmarkEngine` run. CI runs these for
-// one iteration under -race to exercise the pipeline's shared scan/build
-// caches concurrently-safely.
+// Micro-benchmarks for the operator pipeline. CI runs these for one
+// iteration under -race to exercise the pipeline's shared scan/build caches
+// concurrently-safely.
 
 // benchDB builds a fact table (rows rows) and a dim table (dims rows) with
 // a foreign-key-like join column and skewed value columns.
@@ -37,16 +34,7 @@ func benchDB(rows, dims int) *DB {
 	return db
 }
 
-func benchPlan(b *testing.B, db *DB, sql string, optimized bool) {
-	b.Helper()
-	prep := PrepareUnoptimized
-	if optimized {
-		prep = Prepare
-	}
-	benchPlanMode(b, db, sql, prep)
-}
-
-func benchPlanMode(b *testing.B, db *DB, sql string, prep func(*DB, *dt.Node) (*Plan, error)) {
+func benchPlan(b *testing.B, db *DB, sql string) {
 	b.Helper()
 	ast, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -57,7 +45,7 @@ func benchPlanMode(b *testing.B, db *DB, sql string, prep func(*DB, *dt.Node) (*
 	for i := 0; i < b.N; i++ {
 		// Re-prepare each iteration so the per-plan scan/build caches do
 		// not amortize away the work being measured.
-		plan, err := prep(db, ast)
+		plan, err := Prepare(db, ast)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,8 +59,7 @@ const benchJoinSQL = `SELECT f.v, d.label FROM fact AS f, dim AS d WHERE f.k = d
 
 func BenchmarkEngineJoin(b *testing.B) {
 	db := benchDB(2000, 200)
-	b.Run("hash", func(b *testing.B) { benchPlan(b, db, benchJoinSQL, true) })
-	b.Run("crossproduct", func(b *testing.B) { benchPlan(b, db, benchJoinSQL, false) })
+	b.Run("hash", func(b *testing.B) { benchPlan(b, db, benchJoinSQL) })
 }
 
 // BenchmarkEngineJoinCached measures the serving-shaped case: one prepared
@@ -96,39 +83,32 @@ func BenchmarkEngineJoinCached(b *testing.B) {
 	}
 }
 
-// Grouping and DISTINCT run the same operator on every path (the win over
-// earlier revisions is the type-tagged key encoder replacing per-row Text()
-// rendering and string joins), so they report one trajectory number each
-// rather than a pipeline/naive split.
 const benchGroupSQL = `SELECT grp, count(*), sum(v), avg(v) FROM fact GROUP BY grp`
 
-// BenchmarkEngineGroupBy contrasts the vectorized aggregation (columnar
-// accumulation over a u64 open-addressing group table) with the row
-// pipeline's type-tagged key encoder on the same 50-group query, plus a
-// high-cardinality run (2000 groups) where per-group overheads dominate.
-// The flat pre-PR9 "EngineGroupBy" number corresponds to the "row" case.
+// BenchmarkEngineGroupBy measures the vectorized aggregation (columnar
+// accumulation over a u64 open-addressing group table) on a 50-group query,
+// plus a high-cardinality run (2000 groups) where per-group overheads
+// dominate.
 func BenchmarkEngineGroupBy(b *testing.B) {
 	db := benchDB(20000, 10)
-	b.Run("vectorized", func(b *testing.B) { benchPlan(b, db, benchGroupSQL, true) })
-	b.Run("row", func(b *testing.B) { benchPlanMode(b, db, benchGroupSQL, PrepareNoVec) })
+	b.Run("vectorized", func(b *testing.B) { benchPlan(b, db, benchGroupSQL) })
 	hdb := benchDB(20000, 2000)
 	const hiSQL = `SELECT k, count(*), sum(v) FROM fact GROUP BY k`
-	b.Run("high-cardinality-group", func(b *testing.B) { benchPlan(b, hdb, hiSQL, true) })
+	b.Run("high-cardinality-group", func(b *testing.B) { benchPlan(b, hdb, hiSQL) })
 }
 
 const benchTopKSQL = `SELECT k, v FROM fact WHERE v > 10 ORDER BY v DESC LIMIT 10`
 
 func BenchmarkEngineTopK(b *testing.B) {
 	db := benchDB(20000, 10)
-	b.Run("heap", func(b *testing.B) { benchPlan(b, db, benchTopKSQL, true) })
-	b.Run("fullsort", func(b *testing.B) { benchPlan(b, db, benchTopKSQL, false) })
+	b.Run("heap", func(b *testing.B) { benchPlan(b, db, benchTopKSQL) })
 }
 
 const benchDistinctSQL = `SELECT DISTINCT grp FROM fact`
 
 func BenchmarkEngineDistinct(b *testing.B) {
 	db := benchDB(20000, 10)
-	benchPlan(b, db, benchDistinctSQL, true)
+	benchPlan(b, db, benchDistinctSQL)
 }
 
 // benchScanDB builds the access-path fixture: `scan` is large enough for
@@ -155,23 +135,22 @@ func benchScanDB() *DB {
 	return db
 }
 
-// BenchmarkEngineScan contrasts the three access paths on the same point
-// and range predicates: the unoptimized sweep, the hash-index point lookup,
-// and the sorted-index range scan. The per-column indexes are cached at the
+// BenchmarkEngineScan measures the index access paths on point and range
+// predicates: the hash-index point lookup and the sorted-index range scan,
+// plus a vectorized sweep. The per-column indexes are cached at the
 // DB level, so re-preparing per iteration (benchPlan) still amortizes the
 // build — exactly the serving-shaped behavior being measured.
 func BenchmarkEngineScan(b *testing.B) {
 	db := benchScanDB()
 	const pointSQL = `SELECT v FROM scan WHERE k = 7`
 	const rangeSQL = `SELECT v FROM scan WHERE k BETWEEN 7 AND 9`
-	b.Run("full", func(b *testing.B) { benchPlan(b, db, pointSQL, false) })
-	b.Run("index-point", func(b *testing.B) { benchPlan(b, db, pointSQL, true) })
-	b.Run("index-range", func(b *testing.B) { benchPlan(b, db, rangeSQL, true) })
+	b.Run("index-point", func(b *testing.B) { benchPlan(b, db, pointSQL) })
+	b.Run("index-range", func(b *testing.B) { benchPlan(b, db, rangeSQL) })
 	// A low-selectivity sweep the cost model keeps off the indexes: the
 	// chooser leaves it on the full scan, which the vectorized path then
 	// runs as a batched columnar filter.
 	const sweepSQL = `SELECT v FROM scan WHERE v > 25`
-	b.Run("vectorized-filter", func(b *testing.B) { benchPlan(b, db, sweepSQL, true) })
+	b.Run("vectorized-filter", func(b *testing.B) { benchPlan(b, db, sweepSQL) })
 }
 
 // BenchmarkEngineJoinBuildSide measures the reversed hash join: the scan
@@ -180,5 +159,5 @@ func BenchmarkEngineScan(b *testing.B) {
 // on the probe output.
 func BenchmarkEngineJoinBuildSide(b *testing.B) {
 	db := benchScanDB()
-	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`, true)
+	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`)
 }

@@ -68,14 +68,6 @@ func Prepare(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, modePipeline)
 }
 
-// PrepareUnoptimized compiles like Prepare but disables the operator
-// pipeline: the query runs as a filtered cross product with a full stable
-// sort, mirroring the interpreter step for step. It exists so equivalence
-// tests and benchmarks can pit the pipeline against its reference behavior.
-func PrepareUnoptimized(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeNoPipe)
-}
-
 // prepareForceIndex compiles like Prepare but makes the access-path chooser
 // take an index whenever one is semantically legal, ignoring the cost
 // thresholds. Test-only: it lets small fixture tables exercise the index
@@ -92,23 +84,13 @@ func prepareForceVec(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, modeForceVec)
 }
 
-// PrepareNoVec compiles like Prepare with the vectorized path disabled
-// entirely: the full cost-based row pipeline, nothing columnar. Benchmarks
-// (and pi2bench -json) use it as the row-at-a-time comparison point for
-// queries the chooser would otherwise vectorize.
-func PrepareNoVec(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeNoVec)
-}
-
-// prepMode selects how aggressively prepare optimizes.
+// prepMode selects which cost gates prepare bypasses.
 type prepMode uint8
 
 const (
 	modePipeline   prepMode = iota // cost-based pipeline (Prepare)
-	modeNoPipe                     // reference behavior (PrepareUnoptimized)
 	modeForceIndex                 // pipeline with cost thresholds bypassed
 	modeForceVec                   // pipeline with the vectorized size gate bypassed
-	modeNoVec                      // pipeline with the vectorized path disabled
 )
 
 func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
@@ -120,8 +102,7 @@ func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
 	// the plan reports stale rather than memoizing a torn view.
 	setSnap := db.TableSetGeneration()
 	deps := &depTracker{}
-	c := &compiler{db: db, deps: deps, noPipe: mode == modeNoPipe, force: mode == modeForceIndex,
-		vecForce: mode == modeForceVec, noVec: mode == modeNoVec}
+	c := &compiler{db: db, deps: deps, force: mode == modeForceIndex, vecForce: mode == modeForceVec}
 	root := c.compileQuery(q, nil)
 	return &Plan{db: db, root: root, deps: deps.deps, setSnap: setSnap, setDep: deps.missing}, nil
 }
@@ -220,11 +201,7 @@ type planQuery struct {
 	limitErr error
 	distinct bool
 
-	// opt gates the optimizations that change *how* (never *what*) the
-	// query computes: the operator pipeline and the top-K sink. Cleared by
-	// PrepareUnoptimized.
-	opt   bool
-	pipe  *pipePlan   // nil: no WHERE clause, no sources, or opt disabled
+	pipe  *pipePlan   // nil: no WHERE, no sources, a JOIN step, or a single-source sweep
 	scans []scanState // per-source scan/build caches (pipeline only)
 
 	// vec is the columnar batch plan when the query falls in the
@@ -247,10 +224,8 @@ type compiler struct {
 	db       *DB
 	sc       *scope
 	deps     *depTracker // table dependencies of the whole prepare; may be nil
-	noPipe   bool        // disable the operator pipeline (PrepareUnoptimized)
 	force    bool        // bypass the chooser's cost thresholds (prepareForceIndex)
 	vecForce bool        // bypass the vectorized size gate (prepareForceVec)
-	noVec    bool        // disable the vectorized path (PrepareNoVec)
 }
 
 func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
@@ -320,11 +295,10 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 
 	// Expressions compile in this query's scope.
 	sc := &scope{sources: pq.sources, outer: outer}
-	inner := &compiler{db: c.db, sc: sc, deps: c.deps, noPipe: c.noPipe, force: c.force, vecForce: c.vecForce, noVec: c.noVec}
+	inner := &compiler{db: c.db, sc: sc, deps: c.deps, force: c.force, vecForce: c.vecForce}
 
-	pq.opt = !c.noPipe
 	if where.Kind == dt.KindWhere {
-		if pq.opt && len(pq.sources) >= 1 && !pq.hasJoin {
+		if len(pq.sources) >= 1 && !pq.hasJoin {
 			// Comma joins and single-source queries: decompose the
 			// conjunction into the operator pipeline instead of one
 			// monolithic predicate. Single sources gain nothing from
@@ -439,7 +413,7 @@ func (pq *planQuery) run(outer *rowEnv, prof *Profile) (*Table, error) {
 
 	// 2./3. Enumerate surviving rows and project them into the sink, which
 	// applies DISTINCT + ORDER BY + LIMIT — via a bounded top-K heap when
-	// the plan is optimized and both ORDER BY and LIMIT are present.
+	// both ORDER BY and LIMIT are present.
 	//
 	// The vectorized path (vecexec.go) fuses both steps over columnar
 	// batches and feeds the identical sink; everything below it (finish,
@@ -495,7 +469,7 @@ func (pq *planQuery) run(outer *rowEnv, prof *Profile) (*Table, error) {
 // runRows is the row-at-a-time enumeration + projection half of run: the
 // level-by-level join evaluator when the FROM contains JOIN steps, the
 // operator pipeline when compiled, and the filtered cross product otherwise
-// (no WHERE, no sources, or PrepareUnoptimized), followed by grouped or
+// (no WHERE, no sources, or a single-source sweep), followed by grouped or
 // plain projection into the sink.
 func (pq *planQuery) runRows(tables []*Table, outer *rowEnv, prof *Profile, sink *rowSink, offeredOut *int) error {
 	var rows []*rowEnv

@@ -169,7 +169,7 @@ func (t *Table) String() string {
 // only what a write actually touched; the global generation (Generation)
 // still moves on every mutation for coarse-grained consumers, and the
 // table-set fingerprint (TableSetGeneration) moves only when the set of
-// table names changes. See live.go for the append path and the changelog.
+// table names changes. See live.go for the append path.
 type DB struct {
 	Tables map[string]*Table
 	Now    string // ISO date used by today()
@@ -184,17 +184,14 @@ type DB struct {
 	// table later must invalidate the memoized "unknown table" plan.
 	setGen atomic.Uint64
 
-	// mu guards the Tables map, the gens/seqs/inval maps, the changelog,
-	// and the access cache. Mutations hold it for the whole publish; reads
-	// (Table, tableRef, access) hold it only for the lookup. Per-table
-	// generation *values* are atomics so Plan.Stale can poll them lock-free.
+	// mu guards the Tables map, the gens/inval maps, and the access cache.
+	// Mutations hold it for the whole publish; reads (Table, tableRef,
+	// access) hold it only for the lookup. Per-table generation *values* are
+	// atomics so Plan.Stale can poll them lock-free.
 	mu   sync.Mutex
 	gens map[string]*atomic.Uint64 // per-table generation, keyed by lowercased name
 
-	// Changelog state (live.go): ordered append batches with per-table
-	// sequence numbers, plus the append counters behind /metrics.
-	clog       []ChangeBatch
-	seqs       map[string]uint64
+	// Append state (live.go): the counters behind /metrics.
 	inval      map[string]uint64 // per-table invalidations (snapshot replaced)
 	appends    atomic.Uint64
 	appendRows atomic.Uint64
@@ -278,9 +275,6 @@ func NewDB(now string) *DB {
 func (db *DB) initLocked() {
 	if db.gens == nil {
 		db.gens = map[string]*atomic.Uint64{}
-	}
-	if db.seqs == nil {
-		db.seqs = map[string]uint64{}
 	}
 	if db.inval == nil {
 		db.inval = map[string]uint64{}

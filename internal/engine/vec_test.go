@@ -66,7 +66,7 @@ func vecPlanFor(t *testing.T, db *DB, sql string, wantVec bool) *Plan {
 // TestVecNullThreeValued checks three-valued logic through the NULL bitmaps:
 // every vectorizable predicate shape must drop NULL operands exactly like the
 // interpreter's Compare-based row path. checkExecEquivalence compares all
-// five execution paths bit for bit; the engagement assertion keeps the test
+// four execution paths bit for bit; the engagement assertion keeps the test
 // from passing vacuously through the row fallback.
 func TestVecNullThreeValued(t *testing.T) {
 	db := vecDB()
@@ -167,7 +167,7 @@ func TestVecMixedKeyFallsBack(t *testing.T) {
 
 // TestVecOrderRestoration checks that vectorized output comes back in scan
 // order — probe-major, build rows ascending within a bucket — which is
-// exactly the nested-loop order of the unoptimized reference plan, even with
+// exactly the interpreter's nested-loop order, even with
 // duplicate keys on both sides and a pushed filter shrinking the probe side.
 func TestVecOrderRestoration(t *testing.T) {
 	db := vecDB()

@@ -145,9 +145,7 @@ func TestExplainAnalyzeStale(t *testing.T) {
 func newLiveServer(t *testing.T) (*httptest.Server, *Session, *engine.DB) {
 	t.Helper()
 	sess, db := liveSession(t, nil)
-	srv := httptest.NewServer(NewServer(sess).WithIngest(db).Handler())
-	t.Cleanup(srv.Close)
-	return srv, sess, db
+	return serveOne(t, sess, db), sess, db
 }
 
 // TestServerStaleMapsTo409: a request that loses the race against a
@@ -156,14 +154,14 @@ func newLiveServer(t *testing.T) (*httptest.Server, *Session, *engine.DB) {
 func TestServerStaleMapsTo409(t *testing.T) {
 	srv, sess, db := newLiveServer(t)
 	sess.execHook = func() { appendT(t, db) }
-	if code, body := get(t, srv.URL+"/"); code != http.StatusConflict || !strings.Contains(body, "stale") {
+	if code, body := get(t, srv.URL+"/?session="+oneKey); code != http.StatusConflict || !strings.Contains(body, "stale") {
 		t.Fatalf("GET / under sustained writer: code=%d body=%q, want 409 with stale message", code, body)
 	}
-	if code, body := get(t, srv.URL+"/sql?explain=1"); code != http.StatusConflict || !strings.Contains(body, "stale") {
+	if code, body := get(t, srv.URL+"/sql?explain=1&session="+oneKey); code != http.StatusConflict || !strings.Contains(body, "stale") {
 		t.Fatalf("GET /sql?explain=1 under sustained writer: code=%d body=%q, want 409", code, body)
 	}
 	// Plan-only explain never executes, so it cannot lose the race.
-	if code, _ := get(t, srv.URL+"/sql?explain=plan"); code != http.StatusOK {
+	if code, _ := get(t, srv.URL+"/sql?explain=plan&session="+oneKey); code != http.StatusOK {
 		t.Fatalf("GET /sql?explain=plan: code=%d, want 200", code)
 	}
 	// One-shot mutation: absorbed by the retry, served normally.
@@ -174,11 +172,11 @@ func TestServerStaleMapsTo409(t *testing.T) {
 			appendT(t, db)
 		}
 	}
-	if code, body := get(t, srv.URL+"/sql?explain=1"); code != http.StatusOK {
+	if code, body := get(t, srv.URL+"/sql?explain=1&session="+oneKey); code != http.StatusOK {
 		t.Fatalf("GET /sql?explain=1 with one-shot write: code=%d body=%q, want 200", code, body)
 	}
 	sess.execHook = nil
-	if code, _ := get(t, srv.URL+"/"); code != http.StatusOK {
+	if code, _ := get(t, srv.URL+"/?session="+oneKey); code != http.StatusOK {
 		t.Fatalf("GET / after writer stopped: code=%d, want 200", code)
 	}
 }

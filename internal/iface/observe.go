@@ -171,19 +171,16 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 	})
 	o.engineCol = db.ColumnarCounters
 
-	// Live-table instruments: append traffic, changelog retention, and
-	// per-table invalidation counters. The table label set is closed at
-	// registration time (mirrors servedEndpoints: labels minted from runtime
-	// state would be unbounded) — tables added after startup are still
-	// counted in the aggregate append counters, just not per-label.
+	// Live-table instruments: append traffic and per-table invalidation
+	// counters. The table label set is closed at registration time (mirrors
+	// servedEndpoints: labels minted from runtime state would be unbounded)
+	// — tables added after startup are still counted in the aggregate
+	// append counters, just not per-label.
 	m.CounterFunc("pi2_engine_appends_total", "Append batches committed to live tables.", func() float64 {
 		return float64(db.AppendCounters().Appends)
 	})
 	m.CounterFunc("pi2_engine_append_rows_total", "Rows appended to live tables.", func() float64 {
 		return float64(db.AppendCounters().Rows)
-	})
-	m.GaugeFunc("pi2_engine_changelog_depth", "Change batches currently retained in the in-memory changelog.", func() float64 {
-		return float64(db.ChangelogDepth())
 	})
 	for _, name := range db.TableNames() {
 		name := name
@@ -224,14 +221,6 @@ func RegisterServingMetrics(m *obs.Registry, reg *Registry) {
 		return float64(reg.Stats().PlanCompiles)
 	})
 	registerCacheMetrics(m, func() CacheStats { return reg.Stats().Cache })
-}
-
-// RegisterSessionMetrics is RegisterServingMetrics for single-session mode.
-func RegisterSessionMetrics(m *obs.Registry, s *Session) {
-	if m == nil || s == nil {
-		return
-	}
-	registerCacheMetrics(m, s.Stats)
 }
 
 func registerCacheMetrics(m *obs.Registry, stats func() CacheStats) {

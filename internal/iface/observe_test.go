@@ -133,8 +133,8 @@ func TestIndexRecordsPhaseHistograms(t *testing.T) {
 
 // TestStatsJSONByteCompatible pins the contract that attaching observability
 // only appends to the /stats object: the uninstrumented encoding minus its
-// closing brace must be a byte prefix of the instrumented encoding, in both
-// registry and single-session modes.
+// closing brace must be a byte prefix of the instrumented encoding, for an
+// empty registry and for a one-entry registry.
 func TestStatsJSONByteCompatible(t *testing.T) {
 	ifc, ctx := buildSliderInterface(t)
 
@@ -156,8 +156,9 @@ func TestStatsJSONByteCompatible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := doReq(NewServer(sess).Handler(), "GET", "/stats", nil).Body.String()
-		instr := doReq(NewServer(sess).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
+		reg := oneSessionRegistry(t, sess)
+		plain := doReq(NewRegistryServer(reg).Handler(), "GET", "/stats", nil).Body.String()
+		instr := doReq(NewRegistryServer(reg).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
 			"GET", "/stats", nil).Body.String()
 		prefix := strings.TrimSuffix(strings.TrimSpace(plain), "}")
 		if !strings.HasPrefix(instr, prefix) {
@@ -247,7 +248,7 @@ func TestSlowLogEmission(t *testing.T) {
 
 func TestSQLExplainAnalyze(t *testing.T) {
 	srv, _ := newTestServer(t)
-	code, body := get(t, srv.URL+"/sql?explain=1")
+	code, body := get(t, srv.URL+"/sql?explain=1&session="+oneKey)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d\n%s", code, body)
 	}
@@ -257,7 +258,7 @@ func TestSQLExplainAnalyze(t *testing.T) {
 		}
 	}
 	// Explaining must not disturb the plain /sql view.
-	_, plain := get(t, srv.URL+"/sql")
+	_, plain := get(t, srv.URL+"/sql?session="+oneKey)
 	if strings.Contains(plain, "operator") {
 		t.Fatalf("plain /sql shows profile output:\n%s", plain)
 	}
@@ -265,7 +266,7 @@ func TestSQLExplainAnalyze(t *testing.T) {
 
 func TestSQLExplainPlan(t *testing.T) {
 	srv, _ := newTestServer(t)
-	code, body := get(t, srv.URL+"/sql?explain=plan")
+	code, body := get(t, srv.URL+"/sql?explain=plan&session="+oneKey)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d\n%s", code, body)
 	}

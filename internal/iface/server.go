@@ -24,12 +24,9 @@ import (
 // and the page re-renders — the browser/server/database stack the paper's
 // generated interfaces deploy to, built on net/http alone.
 //
-// In registry mode (NewRegistryServer) the server is multi-tenant: each
-// request is routed to a per-user Session picked by the session-key
-// protocol below, sessions are created on demand, and /stats reports the
-// registry aggregate. In single-session mode (NewServer) every request
-// shares one Session — the original one-user deployment, kept for embedding
-// and tests.
+// The server is multi-tenant: each request is routed to a per-user Session
+// of its Registry, picked by the session-key protocol below; sessions are
+// created on demand, and /stats reports the registry aggregate.
 //
 // Session-key protocol: a request addresses its session with the `session`
 // form/query parameter if present, else with the `pi2session` cookie; a
@@ -48,14 +45,9 @@ import (
 // serialize on its state while leaving other sessions untouched.
 type Server struct {
 	reg    *Registry
-	single *Session
 	obs    *ServerObs // nil: no metrics, no tracing, no /metrics route
 	ingest *engine.DB // nil: no /ingest route
 }
-
-// NewServer wraps a single session: every request addresses it, session
-// keys are ignored.
-func NewServer(sess *Session) *Server { return &Server{single: sess} }
 
 // NewRegistryServer serves per-user sessions out of a registry.
 func NewRegistryServer(reg *Registry) *Server { return &Server{reg: reg} }
@@ -150,14 +142,11 @@ func newSessionKey() string {
 }
 
 // sessionFor resolves the session a request addresses and reports the key
-// to propagate (empty in single-session mode) plus whether the client named
-// it explicitly in the request parameters. On failure it writes the HTTP
-// error — bad keys are the client's fault (400), a draining registry is
-// unavailability (503) — and returns ok=false.
+// to propagate plus whether the client named it explicitly in the request
+// parameters. On failure it writes the HTTP error — bad keys are the
+// client's fault (400), a draining registry is unavailability (503) — and
+// returns ok=false.
 func (sv *Server) sessionFor(w http.ResponseWriter, r *http.Request) (sess *Session, key string, explicit bool, ok bool) {
-	if sv.single != nil {
-		return sv.single, "", false, true
-	}
 	key = r.FormValue("session")
 	explicit = key != ""
 	fromCookie := false
@@ -418,23 +407,19 @@ func (sv *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 // physical operator the plan ran. The profiled run bypasses the result
 // cache — that is the point — but leaves serving state untouched.
 func (sv *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	sess := sv.single
-	if sess == nil {
-		key, ok := sv.requestKey(r)
-		if key == "" {
-			http.Error(w, "no session addressed", http.StatusNotFound)
-			return
-		}
-		if !ok {
-			http.Error(w, "invalid session key", http.StatusBadRequest)
-			return
-		}
-		s, live := sv.reg.Lookup(key)
-		if !live {
-			http.Error(w, "no such session", http.StatusNotFound)
-			return
-		}
-		sess = s
+	key, ok := sv.requestKey(r)
+	if key == "" {
+		http.Error(w, "no session addressed", http.StatusNotFound)
+		return
+	}
+	if !ok {
+		http.Error(w, "invalid session key", http.StatusBadRequest)
+		return
+	}
+	sess, live := sv.reg.Lookup(key)
+	if !live {
+		http.Error(w, "no such session", http.StatusNotFound)
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if r.FormValue("explain") == "plan" {
@@ -533,22 +518,17 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports the serving counters as JSON: the registry aggregate
-// (occupancy, evictions, summed per-session cache traffic) in registry
-// mode, the single session's CacheStats otherwise. Per-session counters are
-// atomics and the registry takes only its read lock, so /stats never waits
-// on an in-flight interaction.
+// (occupancy, evictions, summed per-session cache traffic). Per-session
+// counters are atomics and the registry takes only its read lock, so /stats
+// never waits on an in-flight interaction.
 //
 // With observability attached the object gains uptime_seconds, in_flight,
 // and a per-endpoint requests map. The pre-existing fields are embedded
 // first, so the byte prefix of the JSON is identical to the uninstrumented
 // encoding — pinned by TestStatsJSONByteCompatible.
 func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var v any
-	if sv.reg != nil {
-		v = sv.reg.Stats()
-	} else {
-		v = sv.single.Stats()
-	}
+	st := sv.reg.Stats()
+	var v any = st
 	if sv.obs != nil {
 		up, inflight, reqs := sv.obs.statsExt()
 		// Index is appended after the pre-existing fields (and omitted when
@@ -573,17 +553,10 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ac := sv.obs.engineApp()
 			ext.Append = &ac
 		}
-		if sv.reg != nil {
-			v = struct {
-				RegistryStats
-				X any `json:"obs"`
-			}{v.(RegistryStats), ext}
-		} else {
-			v = struct {
-				CacheStats
-				X any `json:"obs"`
-			}{v.(CacheStats), ext}
-		}
+		v = struct {
+			RegistryStats
+			X any `json:"obs"`
+		}{st, ext}
 	}
 	body, err := json.Marshal(v)
 	if err != nil {

@@ -9,7 +9,33 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"pi2/internal/engine"
 )
+
+// oneKey addresses the only entry of the registries oneSessionRegistry builds.
+const oneKey = "t"
+
+// oneSessionRegistry holds sess as its only entry, under oneKey. Its
+// factory hands back sess itself, so a request carrying any other key (or
+// none) also reaches sess.
+func oneSessionRegistry(t *testing.T, sess *Session) *Registry {
+	t.Helper()
+	reg := NewRegistry(func() (*Session, error) { return sess, nil }, RegistryOptions{MaxSessions: 1})
+	if _, err := reg.Acquire(oneKey); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// serveOne serves sess over HTTP through a one-entry registry; a non-nil
+// db also enables POST /ingest.
+func serveOne(t *testing.T, sess *Session, db *engine.DB) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(NewRegistryServer(oneSessionRegistry(t, sess)).WithIngest(db).Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 func newTestServer(t *testing.T) (*httptest.Server, *Session) {
 	t.Helper()
@@ -18,9 +44,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(sess).Handler())
-	t.Cleanup(srv.Close)
-	return srv, sess
+	return serveOne(t, sess, nil), sess
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -62,7 +86,7 @@ func TestServerIndexRendersInterface(t *testing.T) {
 
 func TestServerWidgetManipulationRewritesSQL(t *testing.T) {
 	srv, sess := newTestServer(t)
-	code := postForm(t, srv.URL+"/widget", url.Values{"id": {"w0"}, "value": {"3"}})
+	code := postForm(t, srv.URL+"/widget", url.Values{"session": {oneKey}, "id": {"w0"}, "value": {"3"}})
 	if code != http.StatusSeeOther {
 		t.Fatalf("status = %d", code)
 	}
@@ -70,7 +94,7 @@ func TestServerWidgetManipulationRewritesSQL(t *testing.T) {
 	if !strings.Contains(sql, "a = 3") {
 		t.Fatalf("sql = %s", sql)
 	}
-	_, body := get(t, srv.URL+"/sql")
+	_, body := get(t, srv.URL+"/sql?session="+oneKey)
 	if !strings.Contains(body, "a = 3") {
 		t.Fatalf("/sql = %s", body)
 	}

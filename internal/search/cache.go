@@ -3,10 +3,10 @@ package search
 import "sync"
 
 // rewardCache memoizes state rewards by difftree state hash. One instance is
-// shared by every MCTS worker (Params.SharedCaches), so a state reached by
-// two workers is rewarded exactly once: the per-entry sync.Once single-
-// flights the computation and blocks concurrent requesters until the value
-// is ready. Sharding keeps workers from serializing on one lock.
+// shared by every MCTS worker, so a state reached by two workers is rewarded
+// exactly once: the per-entry sync.Once single-flights the computation and
+// blocks concurrent requesters until the value is ready. Sharding keeps
+// workers from serializing on one lock.
 //
 // Sharing is sound because rewards are pure: the estimate is derived from a
 // per-state RNG seeded by (Params.Seed, state hash), so every worker — and

@@ -63,34 +63,6 @@ func TestRewardCacheDistinctHashes(t *testing.T) {
 	}
 }
 
-// TestSharedCachesMatchPrivateCaches: the search result must be identical
-// with cross-worker caches on and off — rewards are a pure function of
-// (Seed, state), so sharing may only change who computes, never the value.
-func TestSharedCachesMatchPrivateCaches(t *testing.T) {
-	ctx := ctxFor(t,
-		"SELECT hp, mpg, origin FROM Cars WHERE hp BETWEEN 50 AND 60 AND mpg BETWEEN 27 AND 38",
-		"SELECT hp, mpg, origin FROM Cars WHERE hp BETWEEN 60 AND 90 AND mpg BETWEEN 16 AND 30")
-	p := fastParams()
-	p.Workers = 3
-	p.SyncInterval = 5
-
-	p.SharedCaches = true
-	shared := Run(ctx, testDB, p)
-	p.SharedCaches = false
-	private := Run(ctx, testDB, p)
-
-	if shared.State.Hash() != private.State.Hash() {
-		t.Fatalf("shared/private caches returned different states:\nshared:  %v\nprivate: %v",
-			shared.State.Trees[0].Root, private.State.Trees[0].Root)
-	}
-	if shared.BestReward != private.BestReward {
-		t.Fatalf("rewards differ: shared %g vs private %g", shared.BestReward, private.BestReward)
-	}
-	if shared.Iterations != private.Iterations {
-		t.Fatalf("iterations differ: shared %d vs private %d", shared.Iterations, private.Iterations)
-	}
-}
-
 // TestParallelSearchDeterministicWithSharedCaches: repeat multi-worker runs
 // with one seed converge on the identical state even though workers race on
 // the shared caches.
@@ -101,7 +73,6 @@ func TestParallelSearchDeterministicWithSharedCaches(t *testing.T) {
 	p := fastParams()
 	p.Workers = 3
 	p.SyncInterval = 5
-	p.SharedCaches = true
 	a := Run(ctx, testDB, p)
 	b := Run(ctx, testDB, p)
 	if a.State.Hash() != b.State.Hash() || a.BestReward != b.BestReward {

@@ -34,14 +34,6 @@ type Params struct {
 	MaxReturn   bool // return max-reward state (Cadiaplayer) vs best average
 	UseVariance bool // include Eq. (1)'s third term
 
-	// SharedCaches shares one reward cache and one safety-check execution
-	// cache across all workers (default on): a state reached by several
-	// workers is rewarded exactly once, and a safety query executes once.
-	// Off gives each worker private caches (the pre-sharing behavior, kept
-	// for benchmarks); the search result is identical either way because
-	// reward estimates are a pure function of (Seed, state).
-	SharedCaches bool
-
 	// Trace, when non-nil, accumulates "search.rollout" and "search.reward"
 	// aggregate timers (obs.Trace.AddTimer is concurrency-safe, so all
 	// workers feed one trace). Purely observational: the search touches no
@@ -67,7 +59,6 @@ func DefaultParams() Params {
 		ClusterInit:     true,
 		MaxReturn:       true,
 		UseVariance:     true,
-		SharedCaches:    true,
 		MapOpts:         mapping.DefaultOptions(),
 	}
 }
@@ -103,7 +94,7 @@ type worker struct {
 	best    *transform.State
 	bestR   float64
 	seen    map[uint64]bool
-	rewards *rewardCache // shared across workers when Params.SharedCaches
+	rewards *rewardCache // shared across workers
 	iters   int
 	rolls   int
 	stale   int // iterations since the local best improved
@@ -120,18 +111,10 @@ type worker struct {
 	haveRange  bool
 }
 
-// newWorker builds one MCTS instance. rewards and exec are the caches shared
-// across workers; either may be nil, giving the worker a private instance
-// (the Params.SharedCaches ablation).
-func newWorker(ctx *transform.Context, db *engine.DB, p Params, seed int64, rewards *rewardCache, exec *mapping.ExecCache) *worker {
+// newWorker builds one MCTS instance over the reward cache shared across
+// workers; p.MapOpts.Exec carries the shared safety-check execution cache.
+func newWorker(ctx *transform.Context, db *engine.DB, p Params, seed int64, rewards *rewardCache) *worker {
 	init := transform.InitState(ctx, p.ClusterInit)
-	if rewards == nil {
-		rewards = newRewardCache()
-	}
-	if exec == nil {
-		exec = mapping.NewExecCache(db)
-	}
-	p.MapOpts.Exec = exec
 	w := &worker{
 		root:    &node{state: init},
 		rng:     rand.New(rand.NewSource(seed)),
@@ -471,21 +454,17 @@ func Run(ctx *transform.Context, db *engine.DB, p Params) *Result {
 		p.SyncInterval = 10
 	}
 	// Cross-worker caches: one reward memo and one safety-check execution
-	// cache serve all workers (the DB is read-only during search). With
-	// SharedCaches off each worker builds private instances in newWorker.
-	var rewards *rewardCache
-	exec := p.MapOpts.Exec
-	if p.SharedCaches {
-		rewards = newRewardCache()
-		if exec == nil && p.MapOpts.CheckSafety {
-			exec = mapping.NewExecCache(db)
-		}
-	} else {
-		exec = nil
+	// cache serve all workers (the DB is read-only during search), so a
+	// state reached by several workers is rewarded exactly once and a
+	// safety query executes once. Sharing cannot change the result because
+	// reward estimates are a pure function of (Seed, state).
+	rewards := newRewardCache()
+	if p.MapOpts.Exec == nil && p.MapOpts.CheckSafety {
+		p.MapOpts.Exec = mapping.NewExecCache(db)
 	}
 	workers := make([]*worker, p.Workers)
 	for i := range workers {
-		workers[i] = newWorker(ctx, db, p, p.Seed+int64(i)*7919, rewards, exec)
+		workers[i] = newWorker(ctx, db, p, p.Seed+int64(i)*7919, rewards)
 	}
 
 	type report struct {
