@@ -31,7 +31,11 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			// Columnar batch execution; absence of a vectorized marker means
 			// the operator runs row-at-a-time.
 			if n := len(pq.vec.scanPreds[i]); n > 0 {
-				fmt.Fprintf(sb, "%sscan %s [vectorized-filter, %d pushed pred(s), batch %d]\n", ind, ps.alias, n, batchSize)
+				seed := ""
+				if pq.vecIndexed(i) {
+					seed = pq.accessPath(i) + " → "
+				}
+				fmt.Fprintf(sb, "%sscan %s [%svectorized-filter, %d pushed pred(s), batch %d]\n", ind, ps.alias, seed, n, batchSize)
 			} else {
 				fmt.Fprintf(sb, "%sscan %s [vectorized, batch %d]\n", ind, ps.alias, batchSize)
 			}

@@ -11,19 +11,21 @@ import (
 	"pi2/internal/sqlparser"
 )
 
-// FuzzExecEquivalence cross-checks the four execution paths on randomly
+// FuzzExecEquivalence cross-checks the five execution paths on randomly
 // generated queries: the interpreter (the executable specification), the
 // compiled plan (operator pipeline: pushdown, hash joins, tagged keys,
 // top-K), the forced-index plan (every semantically legal index path taken,
-// cost model bypassed, including the reversed hash-join build side) and the
+// cost model bypassed, including the reversed hash-join build side), the
 // forced-vec plan (columnar batch execution with the row-count gate
 // bypassed, so the tiny fuzz tables still route through it whenever the
-// query shape is vectorizable) must return identical tables — same columns, same types,
-// same rows in the same order — or fail with the same error.
+// query shape is vectorizable) and the forced-index-vec plan (both gates
+// bypassed, so index candidates seed the columnar selections) must return
+// identical tables — same columns, same types, same rows in the same
+// order — or fail with the same error.
 //
 // Each seed is checked twice: once against the freshly-loaded database and
 // once after a seed-derived batch of DB.Append calls, so the equivalence
-// contract is pinned before and after writes — the four paths must agree on
+// contract is pinned before and after writes — the five paths must agree on
 // the appended rows exactly as they agree on the loaded ones.
 //
 // The generator derives everything from one seed, so every corpus entry is
@@ -78,7 +80,7 @@ func genAppends(t *testing.T, db *DB, r *rand.Rand) {
 	}
 }
 
-// checkExecEquivalence runs one SQL statement through all four paths and
+// checkExecEquivalence runs one SQL statement through all five paths and
 // compares outcomes bit for bit.
 func checkExecEquivalence(t *testing.T, db *DB, sql string) {
 	t.Helper()
@@ -95,6 +97,7 @@ func checkExecEquivalence(t *testing.T, db *DB, sql string) {
 		{"pipeline plan", Prepare},
 		{"forced-index plan", prepareForceIndex},
 		{"vectorized plan", prepareForceVec},
+		{"index-fed vectorized plan", prepareForceIndexVec},
 	}
 	for _, m := range modes {
 		name := m.name

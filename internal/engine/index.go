@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -132,8 +133,9 @@ func (h *hashSide) rowsFor(v Value) []int {
 
 // sortedIndex is the Compare-ordered view of one column's non-null cells.
 type sortedIndex struct {
-	vals []Value
-	rows []int
+	vals  []Value
+	rows  []int
+	nrows int // the snapshot's row count: every entry of rows is below it
 }
 
 func (si *sortedIndex) Len() int { return len(si.vals) }
@@ -158,7 +160,7 @@ func (db *DB) sortedIndexFor(t *Table, col int) *sortedIndex {
 		return si
 	}
 	t0 := time.Now()
-	si := &sortedIndex{}
+	si := &sortedIndex{nrows: len(t.Rows)}
 	for ri, row := range t.Rows {
 		if col >= len(row) || row[col].Null {
 			continue
@@ -176,11 +178,17 @@ func (db *DB) sortedIndexFor(t *Table, col int) *sortedIndex {
 	return si
 }
 
-// rangeRows returns the row indexes whose value falls inside the bounds,
-// re-sorted into ascending row order — the scan-order contract every access
-// path must keep. Binary search over Compare is only valid because the
-// chooser restricts range probes to type-homogeneous columns with bounds of
-// the column's own type.
+// rangeRows returns the row indexes whose value falls inside the bounds, in
+// ascending row order — the scan-order contract every access path must
+// keep. Binary search over Compare is only valid because the chooser
+// restricts range probes to type-homogeneous columns with bounds of the
+// column's own type.
+//
+// Row order is restored without a comparison sort when the range is wide:
+// each row appears at most once in the index, so marking the hits in a
+// bitmap over the snapshot's rows and sweeping its words emits them
+// ascending in O(rows/64 + hits). Narrow ranges over large tables, where
+// that sweep would cost more than sorting the hits, keep the sort.
 func (si *sortedIndex) rangeRows(lo Value, hasLo, loExcl bool, hi Value, hasHi, hiExcl bool) []int {
 	start := 0
 	if hasLo {
@@ -205,8 +213,42 @@ func (si *sortedIndex) rangeRows(lo Value, hasLo, loExcl bool, hi Value, hasHi, 
 	if end <= start {
 		return nil
 	}
-	out := append([]int(nil), si.rows[start:end]...)
+	hits := si.rows[start:end]
+	if bitmapOrder(si.nrows, len(hits)) {
+		return bitmapSweep(si.nrows, hits)
+	}
+	out := append([]int(nil), hits...)
 	sort.Ints(out)
+	return out
+}
+
+// bitmapOrder reports whether rangeRows should restore the row order of
+// hits candidates over an nrows-row snapshot by bitmap sweep (one pass over
+// nrows/64 words) rather than by sorting them (~hits·log2(hits) steps).
+// BenchmarkEngineRangeOrder times both orderings on 20k–1M rows and 10–10k
+// hits. On a 2-CPU Xeon container this rule picked the faster one at every
+// point but the crossover, 100 hits over 20k rows, where the two are within
+// about 10%. Away from it the wrong pick costs 2–500×: 10 hits over 1M rows
+// sort in 0.1 µs but sweep in 46 µs; 10,000 hits over 100k rows sort in
+// 0.9 ms but sweep in 64 µs.
+func bitmapOrder(nrows, hits int) bool {
+	return (nrows+63)/64 <= hits*bits.Len(uint(hits))
+}
+
+// bitmapSweep returns hits, distinct row indexes below nrows, in ascending
+// order: it marks them in a bitmap and emits the set bits word by word.
+func bitmapSweep(nrows int, hits []int) []int {
+	bm := make([]uint64, (nrows+63)/64)
+	for _, r := range hits {
+		bm[r>>6] |= 1 << (r & 63)
+	}
+	out := make([]int, 0, len(hits))
+	for w, word := range bm {
+		for word != 0 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 	return out
 }
 

@@ -188,7 +188,7 @@ func TestIndexInvalidationOnAdd(t *testing.T) {
 func TestIndexKeySemantics(t *testing.T) {
 	// Keys that exercise the sweep path's equality quirks: -0 vs 0, the
 	// number 1 vs the string '1', NULLs, and a mixed num/str column. All
-	// four execution paths must agree bit for bit.
+	// five execution paths must agree bit for bit.
 	db := NewDB("2020-12-31")
 	db.Add(&Table{
 		Name:  "q",

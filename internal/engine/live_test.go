@@ -226,7 +226,7 @@ func TestEvictionPrecision(t *testing.T) {
 	}
 }
 
-// TestAppendChurnRace drives concurrent readers over all four execution
+// TestAppendChurnRace drives concurrent readers over all five execution
 // paths while a writer appends — the single-writer/many-reader contract
 // under -race. Readers accept ErrStalePlan (and the unknown-table error for
 // torn prepare windows) but nothing else; results are not asserted, the
@@ -263,13 +263,15 @@ func TestAppendChurnRace(t *testing.T) {
 					return
 				}
 				var plan *Plan
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					plan, err = Prepare(db, ast)
 				case 1:
 					plan, err = prepareForceIndex(db, ast)
-				default:
+				case 2:
 					plan, err = prepareForceVec(db, ast)
+				default:
+					plan, err = prepareForceIndexVec(db, ast)
 				}
 				if err != nil {
 					t.Error(err)

@@ -55,7 +55,7 @@ func nullJoinDB() *DB {
 	return db
 }
 
-// expectRows asserts all three execution paths agree on sql and that the
+// expectRows asserts all five execution paths agree on sql and that the
 // result renders (Text, pipe-joined) exactly as want, in order.
 func expectRows(t *testing.T, db *DB, sql string, want []string) {
 	t.Helper()

@@ -308,23 +308,31 @@ func (pq *planQuery) scanRows(i int, tbl *Table, cur []frame, probe *rowEnv) ([]
 // The always-true re-check costs one comparison per candidate and buys a
 // hard invariant: an over-approximating index can never change results.
 func (pq *planQuery) scanSource(i int, tbl *Table, preds []exprFn, cur []frame, probe *rowEnv) ([][]Value, error) {
-	a := pq.pipe.access[i]
-	if a.mode == accessFull {
+	if pq.pipe.access[i].mode == accessFull {
 		return filterRows(tbl.Rows, preds, i, cur, probe)
 	}
-	var idxRows []int
-	switch a.mode {
-	case accessEq:
-		idxRows = pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
-	case accessRange:
-		idxRows = pq.db.sortedIndexFor(tbl, a.col).rangeRows(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
-	}
-	pq.db.idxHits.Add(1)
+	idxRows := pq.indexRows(i, tbl)
 	cand := make([][]Value, len(idxRows))
 	for k, ri := range idxRows {
 		cand[k] = tbl.Rows[ri]
 	}
 	return filterRows(cand, preds, i, cur, probe)
+}
+
+// indexRows probes source i's chosen index and returns its candidate row
+// indexes, ascending. An equality probe returns the hash index's shared
+// bucket, so callers must treat the result as read-only.
+func (pq *planQuery) indexRows(i int, tbl *Table) []int {
+	a := pq.pipe.access[i]
+	var rows []int
+	switch a.mode {
+	case accessEq:
+		rows = pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
+	case accessRange:
+		rows = pq.db.sortedIndexFor(tbl, a.col).rangeRows(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
+	}
+	pq.db.idxHits.Add(1)
+	return rows
 }
 
 func filterRows(rows [][]Value, preds []exprFn, i int, cur []frame, probe *rowEnv) ([][]Value, error) {

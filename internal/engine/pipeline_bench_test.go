@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pi2/internal/sqlparser"
@@ -136,21 +137,61 @@ func benchScanDB() *DB {
 }
 
 // BenchmarkEngineScan measures the index access paths on point and range
-// predicates: the hash-index point lookup and the sorted-index range scan,
-// plus a vectorized sweep. The per-column indexes are cached at the
-// DB level, so re-preparing per iteration (benchPlan) still amortizes the
-// build — exactly the serving-shaped behavior being measured.
+// predicates: the hash-index point lookup, the sorted-index range scan (a
+// narrow one and a wide one), plus a vectorized sweep. Index candidates seed
+// the vectorized filter. The per-column indexes are cached at the DB level,
+// so re-preparing per iteration (benchPlan) still amortizes the build —
+// exactly the serving-shaped behavior being measured.
 func BenchmarkEngineScan(b *testing.B) {
 	db := benchScanDB()
 	const pointSQL = `SELECT v FROM scan WHERE k = 7`
 	const rangeSQL = `SELECT v FROM scan WHERE k BETWEEN 7 AND 9`
 	b.Run("index-point", func(b *testing.B) { benchPlan(b, db, pointSQL) })
 	b.Run("index-range", func(b *testing.B) { benchPlan(b, db, rangeSQL) })
+	// About 10 of the 20k rows: narrow enough that rangeRows restores row
+	// order by sorting the hits rather than by bitmap.
+	const narrowSQL = `SELECT v FROM scan WHERE v BETWEEN 50 AND 50.05`
+	b.Run("index-range-narrow", func(b *testing.B) { benchPlan(b, db, narrowSQL) })
+	// About 20% of the rows, in random row order: under the chooser's 25%
+	// cut, and wide enough that rangeRows restores row order by bitmap.
+	const wideSQL = `SELECT v FROM scan WHERE v BETWEEN 40 AND 60`
+	b.Run("index-range-wide", func(b *testing.B) { benchPlan(b, db, wideSQL) })
 	// A low-selectivity sweep the cost model keeps off the indexes: the
 	// chooser leaves it on the full scan, which the vectorized path then
 	// runs as a batched columnar filter.
 	const sweepSQL = `SELECT v FROM scan WHERE v > 25`
 	b.Run("vectorized-filter", func(b *testing.B) { benchPlan(b, db, sweepSQL) })
+}
+
+// BenchmarkEngineRangeOrder times the two ways rangeRows restores row order
+// — copy-and-sort and bitmapSweep — on random hit sets across the crossover
+// bitmapOrder draws; the pick=… level names the one it chooses.
+func BenchmarkEngineRangeOrder(b *testing.B) {
+	for _, nrows := range []int{20000, 100000, 1000000} {
+		perm := rand.New(rand.NewSource(1)).Perm(nrows)
+		for _, nhits := range []int{10, 100, 1000, 10000} {
+			if nhits > nrows/4 {
+				continue
+			}
+			hits := perm[:nhits]
+			pick := "sort"
+			if bitmapOrder(nrows, nhits) {
+				pick = "bitmap"
+			}
+			name := fmt.Sprintf("rows=%d/hits=%d/pick=%s", nrows, nhits, pick)
+			b.Run(name+"/sort", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					out := append([]int(nil), hits...)
+					sort.Ints(out)
+				}
+			})
+			b.Run(name+"/bitmap", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bitmapSweep(nrows, hits)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkEngineJoinBuildSide measures the reversed hash join: the scan

@@ -84,13 +84,21 @@ func prepareForceVec(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, modeForceVec)
 }
 
+// prepareForceIndexVec bypasses both cost gates at once: every legal index
+// is taken and the vectorized path ignores its size gate, so tiny fixture
+// tables exercise index-seeded columnar scans. Test-only.
+func prepareForceIndexVec(db *DB, q *dt.Node) (*Plan, error) {
+	return prepare(db, q, modeForceIndexVec)
+}
+
 // prepMode selects which cost gates prepare bypasses.
 type prepMode uint8
 
 const (
-	modePipeline   prepMode = iota // cost-based pipeline (Prepare)
-	modeForceIndex                 // pipeline with cost thresholds bypassed
-	modeForceVec                   // pipeline with the vectorized size gate bypassed
+	modePipeline      prepMode = iota // cost-based pipeline (Prepare)
+	modeForceIndex                    // pipeline with cost thresholds bypassed
+	modeForceVec                      // pipeline with the vectorized size gate bypassed
+	modeForceIndexVec                 // both of the above
 )
 
 func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
@@ -102,7 +110,11 @@ func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
 	// the plan reports stale rather than memoizing a torn view.
 	setSnap := db.TableSetGeneration()
 	deps := &depTracker{}
-	c := &compiler{db: db, deps: deps, force: mode == modeForceIndex, vecForce: mode == modeForceVec}
+	c := &compiler{
+		db: db, deps: deps,
+		force:    mode == modeForceIndex || mode == modeForceIndexVec,
+		vecForce: mode == modeForceVec || mode == modeForceIndexVec,
+	}
 	root := c.compileQuery(q, nil)
 	return &Plan{db: db, root: root, deps: deps.deps, setSnap: setSnap, setDep: deps.missing}, nil
 }

@@ -27,11 +27,17 @@ import (
 //     (grouped queries additionally allow literals and count/sum/avg/min/max
 //     over a bare column, and HAVING one comparison over those atoms).
 //
-// Everything else keeps the row pipeline. Because every recognized conjunct
-// is provably pure (no evaluation errors) the pushdown/hoisting soundness
-// argument from pipeline.go applies wholesale, and the runtime (vecexec.go)
-// re-materializes batch output in the interpreter's nested-loop scan order,
-// so the vectorized path is bit-identical to the other four — including
+// Everything else keeps the row pipeline. An index the cost chooser picked
+// for a source does not disqualify the query: its candidate rows seed that
+// source's selection in place of the whole table, and every pushed
+// predicate, the served one included, re-checks them — the same "an index
+// only narrows" invariant the row path's scans keep (cost.go).
+//
+// Because every recognized conjunct is provably pure (no evaluation errors)
+// the pushdown/hoisting soundness argument from pipeline.go applies
+// wholesale, and the runtime (vecexec.go) re-materializes batch output in
+// the interpreter's nested-loop scan order, so the vectorized path is
+// bit-identical to the other paths — including
 // error text, which for grouped plans is replayed per group in exactly the
 // row path's HAVING → select items → order keys evaluation order.
 
@@ -216,12 +222,13 @@ type vecPlan struct {
 // vecState is the per-plan runtime cache: selections and the build-side hash
 // are pure functions of immutable base tables, so they are computed once and
 // shared by every (possibly concurrent) Exec, mirroring scanState. Durations
-// are kept so a profiled run after an unprofiled cold run still reports the
-// warm truth (~0, like a warm scanState scan).
+// and batch counts are kept so a profiled run after an unprofiled cold run
+// still reports the warm truth (~0, like a warm scanState scan).
 type vecState struct {
-	selOnce sync.Once
-	sel     [][]int32 // per source; nil = all rows (no pushed predicates)
-	selDur  []time.Duration
+	selOnce    sync.Once
+	sel        [][]int32 // per source; nil = all rows (no pushed predicates)
+	selDur     []time.Duration
+	selBatches []int
 
 	buildOnce sync.Once
 	numBuild  *numHashIndex
@@ -235,9 +242,9 @@ type vecState struct {
 const minVecRows = 64
 
 // compileVec attaches a vectorized plan to pq when the query is eligible.
-// Must run after the pipeline/pred compilation (it defers to chosen index
-// access paths) and after grouped/hasStar/distinct are known. c must be the
-// inner (scoped) compiler.
+// Must run after the pipeline/pred compilation (an index the chooser picked
+// there seeds the source's selection, see runVec) and after
+// grouped/hasStar/distinct are known. c must be the inner (scoped) compiler.
 func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderby *dt.Node) {
 	if pq.err != nil || pq.hasJoin || pq.hasStar {
 		return
@@ -252,13 +259,6 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 			return
 		}
 		total += len(ps.table.Rows)
-	}
-	if pq.pipe != nil {
-		for i := range pq.pipe.access {
-			if pq.pipe.access[i].mode != accessFull {
-				return // the cost chooser picked an index; keep that win
-			}
-		}
 	}
 	if !c.vecForce && total < minVecRows {
 		return

@@ -66,7 +66,7 @@ func vecPlanFor(t *testing.T, db *DB, sql string, wantVec bool) *Plan {
 // TestVecNullThreeValued checks three-valued logic through the NULL bitmaps:
 // every vectorizable predicate shape must drop NULL operands exactly like the
 // interpreter's Compare-based row path. checkExecEquivalence compares all
-// four execution paths bit for bit; the engagement assertion keeps the test
+// five execution paths bit for bit; the engagement assertion keeps the test
 // from passing vacuously through the row fallback.
 func TestVecNullThreeValued(t *testing.T) {
 	db := vecDB()

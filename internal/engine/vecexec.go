@@ -10,7 +10,8 @@ import (
 // row pipeline feeds, so DISTINCT/ORDER BY/LIMIT and the top-K heap are
 // shared verbatim. Operators walk selection vectors in batchSize chunks:
 //
-//   scan    — per-source selection vectors, predicates applied
+//   scan    — per-source selection vectors (the whole table, or the
+//             chosen index's candidates), predicates applied
 //             column-at-a-time with NULL-bitmap-aware three-valued logic;
 //   join    — hash build over source 1's selection (or the DB-cached
 //             whole-column hash when source 1 has no pushed predicates),
@@ -34,7 +35,6 @@ import (
 func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, error) {
 	vp := pq.vec
 	vs := pq.vecst
-	db := pq.db
 
 	// 1. Scans: compute (or reuse) the per-source selection vectors.
 	freshScan := false
@@ -42,12 +42,13 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 		freshScan = true
 		vs.sel = make([][]int32, vp.nsrc)
 		vs.selDur = make([]time.Duration, vp.nsrc)
+		vs.selBatches = make([]int, vp.nsrc)
 		for i := 0; i < vp.nsrc; i++ {
 			if len(vp.scanPreds[i]) == 0 {
 				continue
 			}
 			t0 := time.Now()
-			vs.sel[i] = vecScanSelect(db, vp.cols[i], vp.scanPreds[i])
+			vs.sel[i], vs.selBatches[i] = pq.vecSelect(i)
 			vs.selDur[i] = time.Since(t0)
 		}
 	})
@@ -60,9 +61,14 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 			if len(vp.scanPreds[i]) > 0 {
 				out = len(vs.sel[i])
 				path = "vectorized-filter"
+				if pq.vecIndexed(i) {
+					// The index names the access path, as on the row path;
+					// the batch count says the columnar filter ran.
+					path = pq.pipe.access[i].path()
+				}
 				if freshScan {
 					d = vs.selDur[i]
-					batches = (in + batchSize - 1) / batchSize
+					batches = vs.selBatches[i]
 				}
 			}
 			prof.addVec("scan", pq.sources[i].alias, path, in, out, batches, d)
@@ -94,22 +100,40 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 	return pq.vecEmitGrouped(outer, prof, sink, r0s, r1s, npairs)
 }
 
-// vecScanSelect computes the selection vector of rows surviving every pushed
-// predicate, processing the table in batchSize chunks: the first pass fills
-// an identity batch, each predicate then compacts it in place.
-func vecScanSelect(db *DB, tc *tableCols, preds []vecPred) []int32 {
-	out := make([]int32, 0, tc.rows/2+1)
+// vecSelect computes source i's selection vector of rows surviving every
+// pushed predicate, processing its rows in batchSize chunks: each batch is
+// filled with the next row ids — the identity sequence, or the candidates of
+// the index the chooser picked (ascending, a superset of the matches) — and
+// each predicate then compacts it in place. Candidates are copied into the
+// batch, since an equality probe hands out the hash index's shared bucket,
+// and every pushed predicate, the one the index served included, re-checks
+// them, so the index can only narrow the scan, never change its result.
+// It also returns the number of batches run.
+func (pq *planQuery) vecSelect(i int) ([]int32, int) {
+	tc, preds := pq.vec.cols[i], pq.vec.scanPreds[i]
+	n, outCap := tc.rows, tc.rows/2+1
+	var cands []int
+	seeded := pq.vecIndexed(i)
+	if seeded {
+		// The candidates bound the selection, so one allocation holds it.
+		cands = pq.indexRows(i, pq.vec.tabs[i])
+		n, outCap = len(cands), len(cands)
+	}
+	out := make([]int32, 0, outCap)
 	var buf [batchSize]int32
-	for base := 0; base < tc.rows; base += batchSize {
-		end := base + batchSize
-		if end > tc.rows {
-			end = tc.rows
+	batches := 0
+	for base := 0; base < n; base += batchSize {
+		sel := buf[:min(batchSize, n-base)]
+		if seeded {
+			for k := range sel {
+				sel[k] = int32(cands[base+k])
+			}
+		} else {
+			for k := range sel {
+				sel[k] = int32(base + k)
+			}
 		}
-		m := end - base
-		sel := buf[:m]
-		for i := range sel {
-			sel[i] = int32(base + i)
-		}
+		m := len(sel)
 		for k := range preds {
 			if len(sel) == 0 {
 				break
@@ -117,9 +141,16 @@ func vecScanSelect(db *DB, tc *tableCols, preds []vecPred) []int32 {
 			sel = preds[k].filterSel(tc, sel)
 		}
 		out = append(out, sel...)
-		db.noteBatch(m)
+		pq.db.noteBatch(m)
+		batches++
 	}
-	return out
+	return out, batches
+}
+
+// vecIndexed reports whether source i's selection is seeded from the index
+// the cost chooser picked for it.
+func (pq *planQuery) vecIndexed(i int) bool {
+	return pq.pipe != nil && pq.pipe.access[i].mode != accessFull
 }
 
 // filterSel keeps the rows of sel that satisfy the predicate, compacting in
