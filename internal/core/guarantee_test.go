@@ -16,9 +16,6 @@ import (
 // input query exactly (§3.2.4, §6.1 "any reachable set of Difftrees can
 // also express those queries").
 func TestExpressivenessGuarantee(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	db := dataset.NewDB()
 	cat := catalog.Build(db, dataset.Keys())
 	for _, log := range workload.All() {

@@ -37,6 +37,7 @@ type colData struct {
 	numCells int  // non-null numeric cells
 	strCells int  // non-null string cells
 	hasNaN   bool // any numeric cell is NaN
+	negZero  bool // any numeric cell is -0
 
 	// Small-integer profile, filled during build: allInt means every non-null
 	// numeric cell is a finite integral float64 that is not -0 (so raw-bits
@@ -125,6 +126,9 @@ func buildTableCols(t *Table) *tableCols {
 				if v.Num != v.Num {
 					cd.hasNaN = true
 				}
+				if isNegZero(v.Num) {
+					cd.negZero = true
+				}
 				if cd.allInt {
 					iv := int64(v.Num)
 					// Excludes NaN/±Inf/fractions (float64(iv) != v.Num for
@@ -159,115 +163,6 @@ func (db *DB) columnsFor(t *Table) *tableCols {
 		db.observeBuild("columnar", time.Since(t0))
 	}
 	return ta.cols
-}
-
-// numHashIndex is a hash table over one all-numeric NaN-free column under
-// join-key identity: keys are normalized float64 bits (joinKeyBits), bucket
-// lists hold row indexes ascending. For finite floats the canonical text
-// encoding appendJoinKey produces is injective, so bit identity with -0
-// collapsed onto +0 yields exactly the `=` equivalence classes — columns
-// containing NaN or strings are refused by the eligibility chooser instead.
-type numHashIndex struct {
-	tab     u64table
-	buckets [][]int32
-}
-
-func buildNumHash(cd *colData, sel []int32, n int) *numHashIndex {
-	count := n
-	if sel != nil {
-		count = len(sel)
-	}
-	h := &numHashIndex{tab: newU64Table(count)}
-	for k := 0; k < count; k++ {
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		if cd.isNull(ri) {
-			continue // NULL never matches under `=`
-		}
-		slot := h.tab.insert(joinKeyBits(cd.nums[ri]))
-		if *slot < 0 {
-			*slot = int32(len(h.buckets))
-			h.buckets = append(h.buckets, nil)
-		}
-		h.buckets[*slot] = append(h.buckets[*slot], int32(ri))
-	}
-	return h
-}
-
-// strHashIndex is the all-string analog: raw string keys (for two non-null
-// strings, Compare==0 iff the strings are byte-equal, so no encoding needed).
-type strHashIndex struct {
-	idx     map[string]int32
-	buckets [][]int32
-}
-
-func buildStrHash(cd *colData, sel []int32, n int) *strHashIndex {
-	count := n
-	if sel != nil {
-		count = len(sel)
-	}
-	h := &strHashIndex{idx: make(map[string]int32, count)}
-	for k := 0; k < count; k++ {
-		ri := k
-		if sel != nil {
-			ri = int(sel[k])
-		}
-		if cd.isNull(ri) {
-			continue
-		}
-		bi, ok := h.idx[cd.strs[ri]]
-		if !ok {
-			bi = int32(len(h.buckets))
-			h.idx[cd.strs[ri]] = bi
-			h.buckets = append(h.buckets, nil)
-		}
-		h.buckets[bi] = append(h.buckets[bi], int32(ri))
-	}
-	return h
-}
-
-// numHashFor returns the cached whole-column join hash for an all-numeric
-// NaN-free column — the columnar analog of hashIndexFor, reused by any plan
-// whose build side has no pushed predicates.
-func (db *DB) numHashFor(t *Table, col int) *numHashIndex {
-	ta := db.access(t)
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	if h, ok := ta.numHash[col]; ok {
-		return h
-	}
-	tc := ta.cols // columnsFor has always run before join planning
-	t0 := time.Now()
-	h := buildNumHash(&tc.cols[col], nil, tc.rows)
-	if ta.numHash == nil {
-		ta.numHash = map[int]*numHashIndex{}
-	}
-	ta.numHash[col] = h
-	db.colBuilds.Add(1)
-	db.observeBuild("columnar-hash", time.Since(t0))
-	return h
-}
-
-// strHashFor is numHashFor for all-string columns.
-func (db *DB) strHashFor(t *Table, col int) *strHashIndex {
-	ta := db.access(t)
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	if h, ok := ta.strHash[col]; ok {
-		return h
-	}
-	tc := ta.cols
-	t0 := time.Now()
-	h := buildStrHash(&tc.cols[col], nil, tc.rows)
-	if ta.strHash == nil {
-		ta.strHash = map[int]*strHashIndex{}
-	}
-	ta.strHash[col] = h
-	db.colBuilds.Add(1)
-	db.observeBuild("columnar-hash", time.Since(t0))
-	return h
 }
 
 // u64table is a linear-probing open-addressing map from uint64 keys to int32

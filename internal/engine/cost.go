@@ -174,6 +174,9 @@ func accessEstimate(st *TableStats, a scanAccess) (est int, eligible bool) {
 	nonNull := st.Rows - cs.Nulls
 	switch a.mode {
 	case accessEq:
+		if (cs.negZero && a.eqKey.IsStr) || (!a.eqKey.IsStr && isNegZero(a.eqKey.Num) && cs.Strs > 0) {
+			return 0, false // -0 meets a string: see hashIndex.rowsFor
+		}
 		if cs.NDV == 0 {
 			return 0, true
 		}
@@ -311,6 +314,29 @@ func (c *compiler) chooseBuildSide(pq *planQuery) {
 	if r0*reverseAdvantage <= r1 {
 		pq.pipe.reverse = true
 	}
+}
+
+// hashKeyable reports whether the equi-join conjunct a = b, two local
+// column references, can be served by hashing on the `=` key. It cannot
+// where one side may hold -0 and the other a string: `=` is not transitive
+// there (see hashIndex.rowsFor), so the conjunct is evaluated as a filter
+// instead. A derived table's column may hold anything.
+func (c *compiler) hashKeyable(a, b *dt.Node) bool {
+	negA, strA := c.keyKinds(a)
+	negB, strB := c.keyKinds(b)
+	return !(negA && strB) && !(negB && strA)
+}
+
+// keyKinds reports whether the local column e may hold -0 and whether it
+// may hold a string.
+func (c *compiler) keyKinds(e *dt.Node) (negZero, str bool) {
+	fi, ci, _ := c.localColumn(e.Label)
+	t := c.sc.sources[fi].table
+	if t == nil {
+		return true, true
+	}
+	cd := &c.db.columnsFor(t).cols[ci]
+	return cd.negZero, cd.strCells > 0
 }
 
 // buildReusable reports whether pipeline level i's hash build can be served

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,11 +20,13 @@ import (
 //
 // Two index kinds, both keyed to agree exactly with the sweep path:
 //
-//   - hash index: buckets of row indexes keyed by appendJoinKey, the `=`
-//     coercion encoding (the number 1 and the string '1' share a bucket,
-//     -0 lands on +0). NULL cells are not indexed — `=` never matches NULL.
-//     Bucket row lists are ascending, so an equality probe yields candidates
-//     already in scan order.
+//   - hash index: one per column, shared by equality scans, the row path's
+//     borrowed join builds and the vectorized join. Buckets of row indexes
+//     are keyed under the `=` coercion: by joinKeyBits for an all-numeric
+//     NaN-free column, otherwise by the cell's `=` text (the number 1 and
+//     the string '1' share a bucket, -0 lands on +0). NULL cells are not
+//     indexed — `=` never matches NULL. Bucket row lists are ascending, so
+//     an equality probe yields candidates already in scan order.
 //   - sorted index: the non-null (value, row) pairs ordered by Compare with
 //     the row index as tiebreaker. Range probes binary-search the bounds;
 //     the chooser only routes here for type-homogeneous columns, where
@@ -39,16 +42,9 @@ type accessCache struct {
 type tableAccess struct {
 	mu     sync.Mutex
 	stats  *TableStats
-	hash   map[int]*hashSide
+	hash   map[int]*hashIndex
 	sorted map[int]*sortedIndex
-
-	// Columnar layer (colstore.go): the table's column arrays plus cached
-	// whole-column join hashes for the vectorized path. Same lifecycle as
-	// the indexes above: built lazily, pruned when the table's snapshot is
-	// replaced by a write.
-	cols    *tableCols
-	numHash map[int]*numHashIndex
-	strHash map[int]*strHashIndex
+	cols   *tableCols // columnar image (colstore.go); hash indexes build from it
 }
 
 // access returns the table snapshot's access slot. Slots are cached only
@@ -85,11 +81,33 @@ func (db *DB) tableStats(t *Table) *TableStats {
 	return ta.stats
 }
 
+// hashIndex is one column's hash index (see the file comment). num selects
+// the keying: joinKeyBits in tab, else `=` text in idx. Either maps a key to
+// its bucket number b, whose rows are rows[off[b]:off[b+1]], so the buckets
+// cost two allocations however many keys the column has.
+type hashIndex struct {
+	num  bool
+	tab  u64table
+	idx  map[string]int32
+	off  []int32
+	rows []int
+}
+
+// bucket returns bucket b's rows, capped so an append cannot spill into
+// the next bucket.
+func (h *hashIndex) bucket(b int32) []int {
+	return h.rows[h.off[b]:h.off[b+1]:h.off[b+1]]
+}
+
+// size is the number of buckets.
+func (h *hashIndex) size() int { return len(h.off) - 1 }
+
 // hashIndexFor returns the table's hash index on column col, building it on
-// first use. The result is structurally identical to buildHashSide over the
-// table's full row list with the bare column as the only key, which is what
-// lets a join build side borrow it bit-for-bit.
-func (db *DB) hashIndexFor(t *Table, col int) *hashSide {
+// first use. Its buckets are exactly buildHashSide's over the table's full
+// row list with the bare column as the only key, which is what lets a join
+// build side borrow it bit-for-bit.
+func (db *DB) hashIndexFor(t *Table, col int) *hashIndex {
+	tc := db.columnsFor(t)
 	ta := db.access(t)
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
@@ -97,22 +115,9 @@ func (db *DB) hashIndexFor(t *Table, col int) *hashSide {
 		return h
 	}
 	t0 := time.Now()
-	h := &hashSide{idx: make(map[string]int, len(t.Rows))}
-	var kb []byte
-	for ri, row := range t.Rows {
-		if col >= len(row) || row[col].Null {
-			continue
-		}
-		kb = appendJoinKey(kb[:0], row[col])
-		if bi, ok := h.idx[string(kb)]; ok {
-			h.buckets[bi] = append(h.buckets[bi], ri)
-		} else {
-			h.idx[string(kb)] = len(h.buckets)
-			h.buckets = append(h.buckets, []int{ri})
-		}
-	}
+	h := buildHashIndex(&tc.cols[col], nil, tc.rows)
 	if ta.hash == nil {
-		ta.hash = map[int]*hashSide{}
+		ta.hash = map[int]*hashIndex{}
 	}
 	ta.hash[col] = h
 	db.idxBuilds.Add(1)
@@ -120,15 +125,108 @@ func (db *DB) hashIndexFor(t *Table, col int) *hashSide {
 	return h
 }
 
-// rowsFor returns the row indexes whose column value equals v under `=`
-// coercion, ascending. v must not be NULL.
-func (h *hashSide) rowsFor(v Value) []int {
-	var tmp [40]byte
-	kb := appendJoinKey(tmp[:0], v)
-	if bi, ok := h.idx[string(kb)]; ok {
-		return h.buckets[bi]
+// buildHashIndex indexes column cd over the rows in sel, or over all n rows
+// when sel is nil (the vectorized join's filtered build side passes its
+// selection). The canonical text of a finite float is injective, so keying
+// an all-numeric NaN-free column by joinKeyBits yields exactly the buckets
+// of the text keying.
+func buildHashIndex(cd *colData, sel []int32, n int) *hashIndex {
+	if sel != nil {
+		n = len(sel)
 	}
-	return nil
+	h := &hashIndex{num: cd.allNum() && !cd.hasNaN}
+	if h.num {
+		h.tab = newU64Table(n)
+	} else {
+		h.idx = make(map[string]int32)
+	}
+	row := func(k int) int {
+		if sel != nil {
+			return int(sel[k])
+		}
+		return k
+	}
+	// Pass one numbers the keys and counts each bucket's rows; pass two
+	// lays the buckets out back to back, rows ascending within each.
+	ids := make([]int32, n)
+	var counts []int32
+	var tmp [32]byte
+	for k := range ids {
+		ri := row(k)
+		if cd.isNull(ri) {
+			ids[k] = -1 // NULL never matches under `=`
+			continue
+		}
+		var bi int32
+		var ok bool
+		switch {
+		case h.num:
+			slot := h.tab.insert(joinKeyBits(cd.nums[ri]))
+			if bi, ok = *slot, *slot >= 0; !ok {
+				bi = int32(len(counts))
+				*slot = bi
+			}
+		case cd.isString(ri):
+			if bi, ok = h.idx[cd.strs[ri]]; !ok {
+				bi = int32(len(counts))
+				h.idx[cd.strs[ri]] = bi
+			}
+		default:
+			kb := appendNumKey(tmp[:0], cd.nums[ri])
+			if bi, ok = h.idx[string(kb)]; !ok {
+				bi = int32(len(counts))
+				h.idx[string(kb)] = bi
+			}
+		}
+		if !ok {
+			counts = append(counts, 0)
+		}
+		ids[k] = bi
+		counts[bi]++
+	}
+	h.off = make([]int32, len(counts)+1)
+	for b, c := range counts {
+		h.off[b+1] = h.off[b] + c
+	}
+	h.rows = make([]int, h.off[len(counts)])
+	next := append(counts[:0], h.off[:len(counts)]...)
+	for k, bi := range ids {
+		if bi >= 0 {
+			h.rows[next[bi]] = row(k)
+			next[bi]++
+		}
+	}
+	return h
+}
+
+// rowsFor returns the rows whose cell equals v under `=`, ascending; v must
+// not be NULL. Cross-type probes follow Compare: a string equals a number
+// only if it is the number's canonical text, so a string probe of a numeric
+// index parses and keeps only that text ('1.0' and '1e0' match nothing).
+// The one inexact spot is where -0 meets a string, since `=` is not
+// transitive there (-0 = 0 and 0 = '0', but -0 <> '0'); the equality chooser
+// and the hash-join compile refuse those pairs (cost.go).
+func (h *hashIndex) rowsFor(v Value) []int {
+	var tmp [32]byte
+	bi, ok := int32(-1), true
+	switch {
+	case h.num && !v.IsStr:
+		bi = h.tab.find(joinKeyBits(v.Num))
+	case h.num:
+		// '-0' is -0's text but would probe +0's bucket, so it is left out.
+		f, err := strconv.ParseFloat(v.Str, 64)
+		if err == nil && v.Str != "-0" && string(strconv.AppendFloat(tmp[:0], f, 'g', -1, 64)) == v.Str {
+			bi = h.tab.find(joinKeyBits(f))
+		}
+	case v.IsStr:
+		bi, ok = h.idx[v.Str]
+	default:
+		bi, ok = h.idx[string(appendNumKey(tmp[:0], v.Num))]
+	}
+	if !ok || bi < 0 {
+		return nil
+	}
+	return h.bucket(bi)
 }
 
 // sortedIndex is the Compare-ordered view of one column's non-null cells.

@@ -188,9 +188,10 @@ func TestIndexInvalidationOnAdd(t *testing.T) {
 func TestIndexKeySemantics(t *testing.T) {
 	// Keys that exercise the sweep path's equality quirks: -0 vs 0, the
 	// number 1 vs the string '1', NULLs, and a mixed num/str column. All
-	// five execution paths must agree bit for bit.
+	// five execution paths must agree bit for bit. q is large enough for
+	// the cost model to choose its equality index unforced.
 	db := NewDB("2020-12-31")
-	db.Add(&Table{
+	q := &Table{
 		Name:  "q",
 		Cols:  []string{"n", "m", "s"},
 		Types: []ColType{TNum, TNum, TStr},
@@ -201,7 +202,11 @@ func TestIndexKeySemantics(t *testing.T) {
 			{NumVal(1), NullVal(), NullVal()},
 			{NumVal(2), NumVal(1), StrVal("a")},
 		},
-	})
+	}
+	for i := 3; len(q.Rows) < 201; i++ {
+		q.Rows = append(q.Rows, []Value{NumVal(float64(i)), NumVal(float64(i)), StrVal(fmt.Sprint("x", i))})
+	}
+	db.Add(q)
 	db.Add(&Table{
 		Name:  "mixed",
 		Cols:  []string{"x"},
@@ -210,19 +215,113 @@ func TestIndexKeySemantics(t *testing.T) {
 			{NumVal(1)}, {StrVal("1")}, {NumVal(10)}, {StrVal("3")}, {NullVal()},
 		},
 	})
+	db.Add(&Table{
+		Name:  "s",
+		Cols:  []string{"k"},
+		Types: []ColType{TStr},
+		Rows:  [][]Value{{StrVal("-0")}, {StrVal("0")}, {StrVal("1.0")}},
+	})
+	db.Add(&Table{
+		Name:  "p",
+		Cols:  []string{"n"},
+		Types: []ColType{TNum},
+		Rows:  [][]Value{{NumVal(0)}, {NumVal(1)}},
+	})
 	for _, sql := range []string{
 		"SELECT m FROM q WHERE n = 0",   // -0 must hash with +0
 		"SELECT m FROM q WHERE n = '1'", // str literal on num column coerces
 		"SELECT m FROM q WHERE s = '1'", // num-looking string key
 		"SELECT m FROM q WHERE s = 1",   // num literal on str column coerces
+		"SELECT m FROM q WHERE s = 1.0", // ... through its canonical text
 		"SELECT m FROM q WHERE n >= 0",  // range over a column with NULLs
 		"SELECT m FROM q WHERE n BETWEEN -1 AND 1",
 		"SELECT x FROM mixed WHERE x = 1", // eq on a mixed-type column is legal
 		"SELECT x FROM mixed WHERE x < 5", // range on mixed types must stay a sweep
 		"SELECT x FROM mixed WHERE x BETWEEN 1 AND 10",
 		"SELECT a.m, b.x FROM q AS a, mixed AS b WHERE a.n = b.x",
+		// -0 = 0 and 0 = '0', but -0 <> '0' and -0 = '-0': no `=` key is
+		// exact where -0 meets a string, so neither index nor hash may serve.
+		"SELECT m FROM q WHERE n = '-0'",
+		"SELECT k FROM s WHERE k = -0",
+		"SELECT q.m, s.k FROM q, s WHERE q.n = s.k",
+		"SELECT q.m, s.k FROM q JOIN s ON q.n = s.k",
+		"SELECT s.k, q.m FROM s JOIN q ON s.k = q.n",
+		"SELECT q.m, d.k FROM q, (SELECT k FROM s) AS d WHERE q.n = d.k",
+		// Without -0 in the column the borrowed index serves: '0' = 0, while
+		// '-0' and '1.0' match nothing.
+		"SELECT s.k, p.n FROM s JOIN p ON s.k = p.n",
+		"SELECT s.k, p.n FROM s, p WHERE s.k = p.n",
 	} {
 		checkExecEquivalence(t, db, sql)
+	}
+	// Strings that parse as 1 but are not its canonical text equal nothing.
+	for _, sql := range []string{"SELECT m FROM q WHERE n = '1.0'", "SELECT m FROM q WHERE n = '1e0'"} {
+		checkExecEquivalence(t, db, sql)
+		if res := planRun(t, db, sql); len(res.Rows) != 0 {
+			t.Fatalf("%s: %d rows, want none", sql, len(res.Rows))
+		}
+	}
+}
+
+// TestHashIndexSharedByScanAndJoin runs one plan whose equality scan and
+// vectorized join both need a hash index on big.k: the column has one, so
+// it is built once, and only the index counter sees the build.
+func TestHashIndexSharedByScanAndJoin(t *testing.T) {
+	db := bigDB()
+	const sql = "SELECT x.v, y.v FROM big AS x, big AS y WHERE x.k = 7 AND x.k = y.k"
+	idx0, col0 := db.IndexCounters(), db.ColumnarCounters()
+	plan := planFor(t, db, sql, Prepare)
+	if plan.root.vec == nil || !indexFed(plan, 0) {
+		t.Fatalf("expected an index-fed vectorized join:\n%s", plan.Explain())
+	}
+	res, err := plan.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 100 {
+		t.Fatalf("rows = %d, want 100", len(res.Rows))
+	}
+	idx, col := db.IndexCounters(), db.ColumnarCounters()
+	if got := idx.Builds - idx0.Builds; got != 1 {
+		t.Fatalf("index builds = %d, want 1", got)
+	}
+	if got := col.ColumnBuilds - col0.ColumnBuilds; got != 3 {
+		t.Fatalf("column builds = %d, want 3 (the columnar image only)", got)
+	}
+	checkExecEquivalence(t, db, sql)
+}
+
+// TestHashIndexProbeMatchesCompare probes the hash index of a numeric, a
+// mixed and a string column with every value of both types and checks each
+// answer against Compare, the sweep's `=`. No cell is -0, the one spot
+// where no `=` key is exact (see hashIndex.rowsFor).
+func TestHashIndexProbeMatchesCompare(t *testing.T) {
+	nums := []Value{NumVal(0), NumVal(1), NumVal(1.5), NumVal(-1), NumVal(1e21), NumVal(math.Inf(1)), NullVal(), NumVal(1)}
+	strs := []Value{StrVal("1"), StrVal("1.0"), StrVal("abc"), StrVal("0"), StrVal("+Inf"), NullVal()}
+	probes := []Value{StrVal("1e0"), StrVal("-0"), StrVal("1e+21"), StrVal("NaN"), StrVal(" 1"), NumVal(math.Copysign(0, -1))}
+	probes = append(append(probes, nums...), strs...)
+	db := NewDB("2020-12-31")
+	for name, col := range map[string][]Value{"nums": nums, "mixed": append(append([]Value(nil), nums...), strs...), "strs": strs} {
+		tb := &Table{Name: name, Cols: []string{"c"}, Types: []ColType{TStr}}
+		for _, v := range col {
+			tb.Rows = append(tb.Rows, []Value{v})
+		}
+		db.Add(tb)
+		h := db.hashIndexFor(tb, 0)
+		for _, p := range probes {
+			if p.Null || (!p.IsStr && isNegZero(p.Num) && name != "nums") {
+				continue
+			}
+			var want []int
+			for ri, v := range col {
+				if EqualVal(v, p) {
+					want = append(want, ri)
+				}
+			}
+			if got := h.rowsFor(p); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: rowsFor(%#v) = %v, want %v", name, p, got, want)
+			}
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func (c *compiler) compileJoins(pq *planQuery, entries []fromEntry, outer *scope
 			continue
 		}
 		for _, conj := range flattenAnd(en.on, nil) {
-			if probe, build, bf, ok := pc.equiSides(conj); ok && bf == i {
+			if probe, build, bf, ok := pc.equiSides(conj); ok && bf == i && pc.hashKeyable(probe, build) {
 				jn.probe = append(jn.probe, pc.compile(probe))
 				jn.build = append(jn.build, pc.compile(build))
 				if len(jn.build) == 1 {
@@ -107,7 +107,7 @@ func (pq *planQuery) joinHash(i int, rows [][]Value, metas []frame) (*hashSide, 
 				// rows is exactly the base table's full row list here, so
 				// the per-column index is bit-identical to what
 				// buildHashSide would produce.
-				st.hash = pq.db.hashIndexFor(pq.sources[i].table, ci)
+				st.hash = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, ci)}
 				pq.db.idxHits.Add(1)
 				return
 			}
@@ -188,7 +188,7 @@ func (pq *planQuery) runJoin(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 				if jn.buildCol >= 0 && pq.sources[i].sub == nil {
 					path = "index(" + pq.sources[i].cols[jn.buildCol] + ")"
 				}
-				prof.addPath("hash-build", metas[i].alias, path, len(rows), len(h.buckets), time.Since(tb))
+				prof.addPath("hash-build", metas[i].alias, path, len(rows), h.size(), time.Since(tb))
 			}
 			hash = h
 		}
@@ -204,42 +204,29 @@ func (pq *planQuery) runJoin(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 			cand.frames[i] = metas[i]
 			sawMatch := false
 			if hash != nil {
-				kb = kb[:0]
-				nullKey := false
-				for _, pf := range jn.probe {
-					v, err := pf(cand)
-					if err != nil {
-						return nil, err
-					}
-					if v.Null {
-						nullKey = true // NULL probe key matches nothing
-						break
-					}
-					kb = appendJoinKey(kb, v)
+				hits, err := hash.match(jn.probe, cand, &kb)
+				if err != nil {
+					return nil, err
 				}
-				if !nullKey {
-					if bi, ok := hash.idx[string(kb)]; ok {
-						for _, ri := range hash.buckets[bi] {
-							cand.frames[i].row = rows[ri]
-							pass := true
-							for _, rf := range jn.resid {
-								v, err := rf(cand)
-								if err != nil {
-									return nil, err
-								}
-								if !v.Truthy() {
-									pass = false
-									break
-								}
-							}
-							if pass {
-								sawMatch = true
-								if matched != nil {
-									matched[ri] = true
-								}
-								extend(env.frames, rows[ri])
-							}
+				for _, ri := range hits {
+					cand.frames[i].row = rows[ri]
+					pass := true
+					for _, rf := range jn.resid {
+						v, err := rf(cand)
+						if err != nil {
+							return nil, err
 						}
+						if !v.Truthy() {
+							pass = false
+							break
+						}
+					}
+					if pass {
+						sawMatch = true
+						if matched != nil {
+							matched[ri] = true
+						}
+						extend(env.frames, rows[ri])
 					}
 				}
 			} else {

@@ -63,10 +63,10 @@ func groupKey(buf []byte, row []Value) []byte {
 // floats, as one uint64: -0 collapses onto +0 and everything else keys by
 // bit pattern. Sound because strconv's shortest 'g' rendering is injective
 // over finite floats — two finite non-NaN numbers have equal appendJoinKey
-// encodings iff they have equal joinKeyBits. The vectorized join keys whole
-// column slices this way instead of formatting one string per row; columns
-// containing NaN (where Compare degenerates) or strings are refused by the
-// eligibility chooser and stay on the encoded-key row path.
+// encodings iff they have equal joinKeyBits. The hash index (index.go) keys
+// all-numeric NaN-free columns this way instead of formatting one string
+// per cell; columns holding NaN (where Compare degenerates) or strings key
+// by text.
 func joinKeyBits(f float64) uint64 {
 	if f == 0 {
 		return 0 // +0 and -0 share bucket, matching appendJoinKey
@@ -84,12 +84,20 @@ func appendJoinKey(buf []byte, v Value) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
 		return append(buf, v.Str...)
 	}
-	n := v.Num
-	if n == 0 {
-		n = 0 // collapse -0 onto +0: Compare treats them as equal
-	}
 	var tmp [32]byte
-	s := strconv.AppendFloat(tmp[:0], n, 'g', -1, 64)
+	s := appendNumKey(tmp[:0], v.Num)
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
+}
+
+// isNegZero reports whether f is -0.
+func isNegZero(f float64) bool { return f == 0 && math.Signbit(f) }
+
+// appendNumKey appends f's canonical text — the string Compare coerces it
+// to — with -0 collapsed onto 0, since Compare treats them as equal.
+func appendNumKey(buf []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
+	return strconv.AppendFloat(buf, f, 'g', -1, 64)
 }

@@ -63,10 +63,42 @@ type pipeStep struct {
 
 // hashSide is a built hash table over one source's filtered rows: bucket
 // lists hold row indexes in scan order so probing emits matches in the same
-// order the nested loop would have visited them.
+// order the nested loop would have visited them. A build that borrows the
+// column's hash index (a single bare-column key over the whole table) sets
+// col instead and is probed by value.
 type hashSide struct {
 	idx     map[string]int
 	buckets [][]int
+	col     *hashIndex
+}
+
+// size is the number of distinct build keys, for profiles.
+func (h *hashSide) size() int {
+	if h.col != nil {
+		return h.col.size()
+	}
+	return len(h.buckets)
+}
+
+// match evaluates the probe keys against env and returns the build rows
+// with an equal key; a NULL key matches nothing. kb is scratch space.
+func (h *hashSide) match(keys []exprFn, env *rowEnv, kb *[]byte) ([]int, error) {
+	b := (*kb)[:0]
+	for _, kf := range keys {
+		v, err := kf(env)
+		if err != nil || v.Null {
+			return nil, err
+		}
+		if h.col != nil {
+			return h.col.rowsFor(v), nil // a borrowed build has one key
+		}
+		b = appendJoinKey(b, v)
+	}
+	*kb = b
+	if bi, ok := h.idx[string(b)]; ok {
+		return h.buckets[bi], nil
+	}
+	return nil, nil
 }
 
 // scanState caches the per-source scan and build work that is invariant
@@ -259,7 +291,7 @@ func (c *compiler) compilePipe(pq *planQuery, where *dt.Node) {
 			}
 			continue
 		}
-		if probe, build, bf, ok := c.equiSides(e); ok {
+		if probe, build, bf, ok := c.equiSides(e); ok && c.hashKeyable(probe, build) {
 			st := &pipe.steps[bf]
 			st.probe = append(st.probe, c.compile(probe))
 			st.build = append(st.build, c.compile(build))
@@ -369,7 +401,7 @@ func (pq *planQuery) buildHash(i int, rows [][]Value, cur []frame, probe *rowEnv
 				// rows is exactly the table's full row list here (no pushed
 				// predicates, full access), so the per-column index is
 				// bit-identical to what buildHashSide would produce.
-				st.hash = pq.db.hashIndexFor(pq.sources[i].table, pq.pipe.steps[i].buildCol)
+				st.hash = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, pq.pipe.steps[i].buildCol)}
 				pq.db.idxHits.Add(1)
 				return
 			}
@@ -455,7 +487,7 @@ func (pq *planQuery) runPipe(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 				if pq.buildReusable(i) {
 					path = "index(" + pq.sources[i].cols[pq.pipe.steps[i].buildCol] + ")"
 				}
-				prof.addPath("hash-build", pq.sources[i].alias, path, len(rows), len(h.buckets), time.Since(t0))
+				prof.addPath("hash-build", pq.sources[i].alias, path, len(rows), h.size(), time.Since(t0))
 			}
 			hashes[i] = h
 		}
@@ -501,22 +533,11 @@ func (pq *planQuery) runPipe(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 		if hashes[i] != nil {
 			// Hash equi-join: probe with the bound prefix, emit this
 			// level's matches in scan order.
-			kb = kb[:0]
-			for _, pf := range st.probe {
-				v, err := pf(probe)
-				if err != nil {
-					return err
-				}
-				if v.Null {
-					return nil // NULL key matches nothing
-				}
-				kb = appendJoinKey(kb, v)
+			hits, err := hashes[i].match(st.probe, probe, &kb)
+			if err != nil {
+				return err
 			}
-			bi, ok := hashes[i].idx[string(kb)]
-			if !ok {
-				return nil
-			}
-			for _, ri := range hashes[i].buckets[bi] {
+			for _, ri := range hits {
 				cur[i].row = filtered[i][ri]
 				if err := pq.stepInto(st, probe, i, rec); err != nil {
 					return err
@@ -587,7 +608,7 @@ func (pq *planQuery) runPipeReversed(filtered [][][]Value, cur []frame, probe *r
 		return nil, err
 	}
 	if prof != nil {
-		prof.add("hash-build", pq.sources[0].alias, len(filtered[0]), len(h.buckets), time.Since(tb))
+		prof.add("hash-build", pq.sources[0].alias, len(filtered[0]), h.size(), time.Since(tb))
 	}
 
 	var tj time.Time
@@ -599,26 +620,12 @@ func (pq *planQuery) runPipeReversed(filtered [][][]Value, cur []frame, probe *r
 	var kb []byte
 	for r1, row := range filtered[1] {
 		cur[1].row = row
-		kb = kb[:0]
-		null := false
-		for _, bf := range st.build {
-			v, err := bf(probe)
-			if err != nil {
-				return nil, err
-			}
-			if v.Null {
-				null = true // NULL key matches nothing, same as the probe path
-				break
-			}
-			kb = appendJoinKey(kb, v)
+		hits, err := h.match(st.build, probe, &kb)
+		if err != nil {
+			return nil, err
 		}
-		if null {
-			continue
-		}
-		if bi, ok := h.idx[string(kb)]; ok {
-			for _, r0 := range h.buckets[bi] {
-				pairs = append(pairs, pair{r0, r1})
-			}
+		for _, r0 := range hits {
+			pairs = append(pairs, pair{r0, r1})
 		}
 	}
 	sort.Slice(pairs, func(a, b int) bool {

@@ -11,6 +11,9 @@ package engine
 //     matches every numeric equality under the sweep path while its join-key
 //     encoding ("NaN") matches only another NaN. Predicate index use is
 //     disabled on such columns — the sweep is the semantics.
+//   - negZero: -0 = 0 and 0 = '0' but -0 <> '0', so no `=` key is exact
+//     where -0 meets a string. Equality index use is disabled for string
+//     keys on such columns (and for a -0 key on columns holding strings).
 //   - type homogeneity (Nums/Strs): Compare is not transitive across mixed
 //     numeric/string values (5 < 10, 10 < '3', '3' < '5'), so a sorted index
 //     is only a total order — and range probing only sound — when every
@@ -24,13 +27,14 @@ type TableStats struct {
 
 // ColStats summarizes one column.
 type ColStats struct {
-	NDV    int   // distinct non-null values under join-key identity (`=` coercion)
-	Nulls  int   // NULL cells
-	Nums   int   // non-null numeric cells
-	Strs   int   // non-null string cells
-	HasNaN bool  // any numeric cell is NaN
-	Min    Value // smallest/largest non-null value; valid only when
-	Max    Value // Homogeneous() and the column has non-null cells
+	NDV     int   // distinct non-null values under join-key identity (`=` coercion)
+	Nulls   int   // NULL cells
+	Nums    int   // non-null numeric cells
+	Strs    int   // non-null string cells
+	HasNaN  bool  // any numeric cell is NaN
+	negZero bool  // any numeric cell is -0
+	Min     Value // smallest/largest non-null value; valid only when
+	Max     Value // Homogeneous() and the column has non-null cells
 }
 
 // Homogeneous reports whether every non-null value has one type, which is
@@ -59,6 +63,9 @@ func computeStats(t *Table) *TableStats {
 				cs.Nums++
 				if v.Num != v.Num {
 					cs.HasNaN = true
+				}
+				if isNegZero(v.Num) {
+					cs.negZero = true
 				}
 			}
 			kb = appendJoinKey(kb[:0], v)

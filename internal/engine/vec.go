@@ -231,8 +231,7 @@ type vecState struct {
 	selBatches []int
 
 	buildOnce sync.Once
-	numBuild  *numHashIndex
-	strBuild  *strHashIndex
+	build     *hashIndex
 	buildDur  time.Duration
 }
 

@@ -439,85 +439,60 @@ func (pq *planQuery) vecJoin(prof *Profile) ([]int32, []int32, error) {
 	}
 
 	// Hash join: build over source 1, probe with source 0 in selection order.
-	var numH *numHashIndex
-	var strH *strHashIndex
+	var h *hashIndex
 	buildPath := ""
 	if sel1 == nil {
-		// No pushed predicates on the build side: reuse the DB-cached
-		// whole-column hash (cold on first use, then shared across plans).
+		// No pushed predicates on the build side: reuse the column's hash
+		// index (cold on first use, then shared across plans).
 		var tb time.Time
 		if prof != nil {
 			tb = time.Now()
 		}
-		if vp.keyNum {
-			numH = db.numHashFor(vp.tabs[1], vp.key1)
-		} else {
-			strH = db.strHashFor(vp.tabs[1], vp.key1)
-		}
+		h = db.hashIndexFor(vp.tabs[1], vp.key1)
 		buildPath = "columnar(" + pq.sources[1].cols[vp.key1] + ")"
 		if prof != nil {
-			nb := len(numBuckets(numH, strH))
-			prof.addVec("hash-build", pq.sources[1].alias, buildPath, n1, nb, 0, time.Since(tb))
+			prof.addVec("hash-build", pq.sources[1].alias, buildPath, n1, h.size(), 0, time.Since(tb))
 		}
 	} else {
 		freshBuild := false
 		vs.buildOnce.Do(func() {
 			freshBuild = true
 			t0 := time.Now()
-			if vp.keyNum {
-				vs.numBuild = buildNumHash(&tc1.cols[vp.key1], sel1, tc1.rows)
-			} else {
-				vs.strBuild = buildStrHash(&tc1.cols[vp.key1], sel1, tc1.rows)
-			}
+			vs.build = buildHashIndex(&tc1.cols[vp.key1], sel1, tc1.rows)
 			vs.buildDur = time.Since(t0)
 			db.noteBatches(len(sel1))
 		})
-		numH, strH = vs.numBuild, vs.strBuild
+		h = vs.build
 		if prof != nil {
 			var d time.Duration
 			if freshBuild {
 				d = vs.buildDur
 			}
-			prof.addVec("hash-build", pq.sources[1].alias, "vectorized", n1, len(numBuckets(numH, strH)), 0, d)
+			prof.addVec("hash-build", pq.sources[1].alias, "vectorized", n1, h.size(), 0, d)
 		}
 	}
 
 	cd0 := &tc0.cols[vp.key0]
-	if vp.keyNum {
-		for k0 := 0; k0 < n0; k0++ {
-			r0 := int32(k0)
-			if sel0 != nil {
-				r0 = sel0[k0]
-			}
-			ii := int(r0)
-			if cd0.isNull(ii) {
-				continue // NULL key matches nothing
-			}
-			bi := numH.tab.find(joinKeyBits(cd0.nums[ii]))
-			if bi < 0 {
-				continue
-			}
-			for _, r1 := range numH.buckets[bi] {
-				emit(r0, r1)
-			}
+	for k0 := 0; k0 < n0; k0++ {
+		r0 := int32(k0)
+		if sel0 != nil {
+			r0 = sel0[k0]
 		}
-	} else {
-		for k0 := 0; k0 < n0; k0++ {
-			r0 := int32(k0)
-			if sel0 != nil {
-				r0 = sel0[k0]
-			}
-			ii := int(r0)
-			if cd0.isNull(ii) {
-				continue
-			}
-			bi, ok := strH.idx[cd0.strs[ii]]
-			if !ok {
-				continue
-			}
-			for _, r1 := range strH.buckets[bi] {
-				emit(r0, r1)
-			}
+		ii := int(r0)
+		if cd0.isNull(ii) {
+			continue // NULL key matches nothing
+		}
+		bi, ok := int32(-1), true
+		if vp.keyNum {
+			bi = h.tab.find(joinKeyBits(cd0.nums[ii]))
+		} else {
+			bi, ok = h.idx[cd0.strs[ii]]
+		}
+		if !ok || bi < 0 {
+			continue
+		}
+		for _, r1 := range h.bucket(bi) {
+			emit(r0, int32(r1))
 		}
 	}
 	db.noteBatches(n0)
@@ -526,14 +501,6 @@ func (pq *planQuery) vecJoin(prof *Profile) ([]int32, []int32, error) {
 		prof.addVec("join", detail, buildPath, n0+n1, len(r0s), (n0+batchSize-1)/batchSize, time.Since(tj))
 	}
 	return r0s, r1s, nil
-}
-
-// numBuckets counts the buckets of whichever hash exists.
-func numBuckets(numH *numHashIndex, strH *strHashIndex) [][]int32 {
-	if numH != nil {
-		return numH.buckets
-	}
-	return strH.buckets
 }
 
 // vecEmit materializes the non-grouped output: one slab allocation backs

@@ -184,13 +184,13 @@ func TestResultCacheBounded(t *testing.T) {
 	}
 	sess.mu.Lock()
 	nResults := sess.results[0].len()
-	nPlans := sess.plans.len()
+	nPlans := sess.plans.Len()
 	sess.mu.Unlock()
 	if nResults > maxCachedResultsPerTree {
 		t.Fatalf("result cache grew to %d entries (cap %d)", nResults, maxCachedResultsPerTree)
 	}
-	if nPlans > maxCachedPlans {
-		t.Fatalf("plan cache grew to %d entries (cap %d)", nPlans, maxCachedPlans)
+	if maxPlans := planShards * maxSharedPlansPerShd; nPlans > maxPlans {
+		t.Fatalf("plan cache grew to %d entries (cap %d)", nPlans, maxPlans)
 	}
 }
 

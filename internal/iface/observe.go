@@ -158,7 +158,7 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 	// atomics, plus a rows-per-batch histogram fed by the batch hook. The
 	// bucket edges cover the power-of-two sub-batch sizes up to the full
 	// batch — a healthy vectorized workload should pile up in the last one.
-	m.CounterFunc("pi2_engine_column_builds_total", "Columnar storage and columnar-hash builds.", func() float64 {
+	m.CounterFunc("pi2_engine_column_builds_total", "Columnar storage builds, one per column.", func() float64 {
 		return float64(db.ColumnarCounters().ColumnBuilds)
 	})
 	m.CounterFunc("pi2_engine_batches_total", "Vectorized batches processed.", func() float64 {

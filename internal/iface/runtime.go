@@ -72,14 +72,6 @@ type cachedResult struct {
 	deps []engine.TableDep // tables the result read, with their generations
 }
 
-// cachedPlan memoizes a compiled plan for a resolved query. The AST guards
-// against hash collisions; the Stale() check at the use site validates the
-// plan against the generations of the tables it reads.
-type cachedPlan struct {
-	ast  *dt.Node
-	plan *engine.Plan
-}
-
 // Session is the interaction runtime: the in-process stand-in for the
 // browser (DESIGN.md §4). It holds the current binding of every Difftree;
 // manipulating a widget or visualization interaction routes an event tuple
@@ -97,10 +89,10 @@ type cachedPlan struct {
 // table; everything else stays warm. All exported methods lock a
 // per-session mutex, so one Session can serve concurrent HTTP requests.
 //
-// Under a Registry, many sessions run side by side: each keeps its own
-// bindings, result caches, and mutex, while the plan layer is swapped for a
-// shared read-only PlanCache (NewSessionWithPlans) so the fleet compiles
-// each distinct resolved query once.
+// The plan layer is a PlanCache. Under a Registry, many sessions run side
+// by side: each keeps its own bindings, result caches, and mutex, while
+// they share one PlanCache (NewSessionWithPlans) so the fleet compiles each
+// distinct resolved query once.
 type Session struct {
 	Ifc *Interface
 	Ctx *transform.Context
@@ -109,9 +101,9 @@ type Session struct {
 	mu       sync.Mutex
 	bindings []dt.Binding // per tree
 
-	shared  *PlanCache                        // cross-session plan cache; nil -> private plans
-	plans   *lruCache[uint64, cachedPlan]     // private: resolved-AST hash -> compiled plan
-	results []*lruCache[uint64, cachedResult] // per tree: binding hash -> result
+	plans    *PlanCache                        // resolved-AST hash -> compiled plan
+	ownPlans bool                              // plans is this session's alone; ResetCache drops it
+	results  []*lruCache[uint64, cachedResult] // per tree: binding hash -> result
 
 	// stats lives behind a pointer so the registry can keep just the
 	// counters of an evicted session (a few dozen bytes) while the session
@@ -125,19 +117,19 @@ type Session struct {
 }
 
 // NewSession initializes the runtime with each tree bound to its first
-// input query (the interface's initial state).
+// input query (the interface's initial state) and a PlanCache of its own.
 func NewSession(ifc *Interface, ctx *transform.Context, db *engine.DB) (*Session, error) {
 	return NewSessionWithPlans(ifc, ctx, db, nil)
 }
 
 // NewSessionWithPlans is NewSession with a shared read-only plan cache:
-// compiled plans are looked up in (and published to) plans instead of the
-// session-private plan LRU, so a fleet of sessions over one interface
-// compiles each distinct resolved query once. Result tables remain
-// session-private (they are keyed by this session's binding states). A nil
-// plans is equivalent to NewSession.
+// compiled plans are looked up in (and published to) plans, so a fleet of
+// sessions over one interface compiles each distinct resolved query once.
+// Result tables remain session-private (they are keyed by this session's
+// binding states). A nil plans gives the session a PlanCache of its own,
+// as NewSession does.
 func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, plans *PlanCache) (*Session, error) {
-	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, shared: plans, stats: &sessionStats{}}
+	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans, ownPlans: plans == nil, stats: &sessionStats{}}
 	for ti, tree := range ifc.State.Trees {
 		qb, ok := tree.Bind(ctx)
 		if !ok || len(qb.PerQuery) == 0 {
@@ -154,11 +146,12 @@ func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, 
 // an in-flight interaction holding the session mutex.
 func (s *Session) Stats() CacheStats { return s.stats.snapshot() }
 
-// ResetCache drops this session's memoized plans and result tables
-// (counters are kept). The next interaction takes the full
-// parse/plan/execute path. A shared PlanCache is not flushed — it belongs
-// to every session, and its entries are validated per use against the
-// generations of the tables they read, so they can never serve stale plans.
+// ResetCache drops this session's memoized result tables and, when the
+// session owns its PlanCache, its plans (counters are kept). The next
+// interaction takes the full parse/plan/execute path. A shared PlanCache is
+// not flushed — it belongs to every session, and its entries are validated
+// per use against the generations of the tables they read, so they can
+// never serve stale plans.
 func (s *Session) ResetCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,7 +159,9 @@ func (s *Session) ResetCache() {
 }
 
 func (s *Session) resetCacheLocked() {
-	s.plans = newLRU[uint64, cachedPlan](maxCachedPlans)
+	if s.ownPlans {
+		s.plans = NewPlanCache()
+	}
 	s.results = make([]*lruCache[uint64, cachedResult], len(s.bindings))
 	for i := range s.results {
 		s.results[i] = newLRU[uint64, cachedResult](maxCachedResultsPerTree)
@@ -315,15 +310,12 @@ func (s *Session) ExplainPlan(tree int) (string, string, error) {
 	return sqlparser.ToSQL(ast), plan.Explain(), nil
 }
 
-// Cache size caps. A long-lived serving session sees an unbounded stream
-// of binding states (every drag step of a brush is a new state), so both
-// layers are LRU-bounded: at the cap the least recently used entry is
-// evicted per insert, keeping steady-state memory flat while guaranteeing
-// the recently-hot states stay resident.
-const (
-	maxCachedResultsPerTree = 512
-	maxCachedPlans          = 256
-)
+// Result cache size cap. A long-lived serving session sees an unbounded
+// stream of binding states (every drag step of a brush is a new state), so
+// results are LRU-bounded like plans (PlanCache): at the cap the least
+// recently used entry is evicted per insert, keeping steady-state memory
+// flat while guaranteeing the recently-hot states stay resident.
+const maxCachedResultsPerTree = 512
 
 // execStaleRetries bounds how many times the execution paths re-resolve a
 // plan that went stale between resolution and execution (a live writer hit
@@ -397,35 +389,20 @@ func (s *Session) resultLocked(tree int, tr *obs.Trace) (*engine.Table, error) {
 	return res, nil
 }
 
-// planFor returns the compiled plan for a resolved query: from the shared
-// cross-session cache when one is attached, else from the session-private
-// plan LRU (compiling on miss). Called with the session mutex held; the
-// shared cache takes only its own shard lock underneath (see the locking
-// hierarchy in ARCHITECTURE.md).
+// planFor returns the compiled plan for a resolved query from the plan
+// cache, compiling on miss. Called with the session mutex held; the cache
+// takes only its own shard lock underneath (see the locking hierarchy in
+// ARCHITECTURE.md).
 func (s *Session) planFor(ast *dt.Node) (*engine.Plan, error) {
-	if s.shared != nil {
-		plan, hit, err := s.shared.Get(s.DB, ast)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			s.stats.planHits.Add(1)
-		} else {
-			s.stats.planMisses.Add(1)
-		}
-		return plan, nil
-	}
-	qh := dt.Hash(ast)
-	if cp, ok := s.plans.get(qh); ok && !cp.plan.Stale() && dt.Equal(cp.ast, ast) {
-		s.stats.planHits.Add(1)
-		return cp.plan, nil
-	}
-	s.stats.planMisses.Add(1)
-	plan, err := engine.Prepare(s.DB, ast)
+	plan, hit, err := s.plans.Get(s.DB, ast)
 	if err != nil {
 		return nil, err
 	}
-	s.plans.put(qh, cachedPlan{ast: ast, plan: plan})
+	if hit {
+		s.stats.planHits.Add(1)
+	} else {
+		s.stats.planMisses.Add(1)
+	}
 	return plan, nil
 }
 
