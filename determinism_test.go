@@ -17,8 +17,8 @@ func TestSameSeedByteIdenticalInterface(t *testing.T) {
 	logs := []workload.Log{workload.Explore(), workload.Connect()}
 	if !testing.Short() {
 		// The slower paper workloads ride in the full suite: Covid and SDSS
-		// exercise grouping, joins and the engine's operator pipeline end
-		// to end.
+		// exercise grouping, joins and the engine's compiled plans end to
+		// end.
 		logs = append(logs, workload.Covid(), workload.SDSS())
 	}
 	for _, wl := range logs {

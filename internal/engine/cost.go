@@ -6,7 +6,7 @@ import (
 	dt "pi2/internal/difftree"
 )
 
-// The cost-based access-path chooser. compilePipe collects index *candidates*
+// The cost-based access-path chooser. compileFrom collects index *candidates*
 // from the pushed-down conjuncts; chooseAccess judges them against the
 // table's statistics and picks at most one per source; chooseBuildSide
 // decides whether a two-source hash join should build over the smaller side.
@@ -266,7 +266,7 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 		}
 		a := list[best]
 		a.estRows = bestEst
-		pq.pipe.access[i] = a
+		pq.levels[i].access = a
 	}
 }
 
@@ -280,8 +280,8 @@ func (c *compiler) estSourceRows(pq *planQuery, i int) (int, bool) {
 	}
 	st := c.db.tableStats(ps.table)
 	est := float64(st.Rows)
-	extra := len(pq.pipe.scanPreds[i])
-	if a := pq.pipe.access[i]; a.mode != accessFull {
+	extra := len(pq.levels[i].scanPreds)
+	if a := pq.levels[i].access; a.mode != accessFull {
 		est = float64(a.estRows)
 		extra--
 	}
@@ -292,15 +292,15 @@ func (c *compiler) estSourceRows(pq *planQuery, i int) (int, bool) {
 }
 
 // chooseBuildSide decides whether a two-source hash equi-join should build
-// its table over source 0 instead of source 1 (runPipeReversed). The swap is
+// its table over source 0 instead of source 1 (level.reverse). The swap is
 // worthwhile when the normal build side is much larger than the probe side
 // and its hash table is not already a free ride on the column index.
 func (c *compiler) chooseBuildSide(pq *planQuery) {
-	if len(pq.sources) != 2 || len(pq.pipe.steps[1].build) == 0 {
+	if len(pq.sources) != 2 || len(pq.levels[1].build) == 0 {
 		return
 	}
 	if c.force {
-		pq.pipe.reverse = true
+		pq.levels[1].reverse = true
 		return
 	}
 	if pq.buildReusable(1) {
@@ -312,40 +312,45 @@ func (c *compiler) chooseBuildSide(pq *planQuery) {
 		return
 	}
 	if r0*reverseAdvantage <= r1 {
-		pq.pipe.reverse = true
+		pq.levels[1].reverse = true
 	}
 }
 
 // hashKeyable reports whether the equi-join conjunct a = b, two local
 // column references, can be served by hashing on the `=` key. It cannot
 // where one side may hold -0 and the other a string: `=` is not transitive
-// there (see hashIndex.rowsFor), so the conjunct is evaluated as a filter
-// instead. A derived table's column may hold anything.
+// there (see hashIndex.rowsFor). Nor where one side may hold NaN and the
+// other a number: Compare(NaN, x) == 0 for every number x, so `=` matches a
+// NaN row to every number while the hash keys NaN apart. Such a conjunct is
+// evaluated as a filter instead. A derived table's column may hold
+// anything.
 func (c *compiler) hashKeyable(a, b *dt.Node) bool {
-	negA, strA := c.keyKinds(a)
-	negB, strB := c.keyKinds(b)
-	return !(negA && strB) && !(negB && strA)
+	ka, kb := c.keyKinds(a), c.keyKinds(b)
+	return !(ka.negZero && kb.str) && !(kb.negZero && ka.str) &&
+		!(ka.nan && kb.num) && !(kb.nan && ka.num)
 }
 
-// keyKinds reports whether the local column e may hold -0 and whether it
-// may hold a string.
-func (c *compiler) keyKinds(e *dt.Node) (negZero, str bool) {
+// keyKind says what the cells of one join-key column may hold.
+type keyKind struct{ negZero, nan, num, str bool }
+
+// keyKinds reports what the local column e may hold.
+func (c *compiler) keyKinds(e *dt.Node) keyKind {
 	fi, ci, _ := c.localColumn(e.Label)
 	t := c.sc.sources[fi].table
 	if t == nil {
-		return true, true
+		return keyKind{true, true, true, true}
 	}
 	cd := &c.db.columnsFor(t).cols[ci]
-	return cd.negZero, cd.strCells > 0
+	return keyKind{negZero: cd.negZero, nan: cd.hasNaN, num: cd.numCells > 0, str: cd.strCells > 0}
 }
 
-// buildReusable reports whether pipeline level i's hash build can be served
+// buildReusable reports whether level i's hash build can be served
 // by the DB's per-column hash index: a single bare-column key over an
 // unfiltered base table, where the index's buckets are bit-identical to what
 // buildHashSide would produce.
 func (pq *planQuery) buildReusable(i int) bool {
 	return pq.sources[i].sub == nil &&
-		pq.pipe.steps[i].buildCol >= 0 &&
-		len(pq.pipe.scanPreds[i]) == 0 &&
-		pq.pipe.access[i].mode == accessFull
+		pq.levels[i].buildCol >= 0 &&
+		len(pq.levels[i].scanPreds) == 0 &&
+		pq.levels[i].access.mode == accessFull
 }

@@ -257,7 +257,7 @@ func execQuery(db *DB, q *dt.Node, outer *rowEnv) (*Table, error) {
 
 // crossFilter enumerates the cross product of the sources, applying the
 // WHERE predicate per combined row. This is the executable specification
-// the operator pipeline (pipeline.go) is tested against — it stays naive on
+// the compiled FROM operator (from.go) is tested against — it stays naive on
 // purpose.
 func crossFilter(db *DB, sources []source, where *dt.Node, outer *rowEnv) ([]*rowEnv, error) {
 	var pred *dt.Node

@@ -33,7 +33,7 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			if n := len(pq.vec.scanPreds[i]); n > 0 {
 				seed := ""
 				if pq.vecIndexed(i) {
-					seed = pq.accessPath(i) + " → "
+					seed = pq.levels[i].access.path() + " → "
 				}
 				fmt.Fprintf(sb, "%sscan %s [%svectorized-filter, %d pushed pred(s), batch %d]\n", ind, ps.alias, seed, n, batchSize)
 			} else {
@@ -41,14 +41,13 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			}
 			continue
 		}
-		fmt.Fprintf(sb, "%sscan %s [%s", ind, ps.alias, pq.accessPath(i))
-		if pq.pipe != nil {
-			if a := pq.pipe.access[i]; a.mode != accessFull {
-				fmt.Fprintf(sb, " ~%d of %d rows", a.estRows, len(ps.table.Rows))
-			}
-			if n := len(pq.pipe.scanPreds[i]); n > 0 {
-				fmt.Fprintf(sb, ", %d pushed pred(s)", n)
-			}
+		lv := &pq.levels[i]
+		fmt.Fprintf(sb, "%sscan %s [%s", ind, ps.alias, lv.access.path())
+		if lv.access.mode != accessFull {
+			fmt.Fprintf(sb, " ~%d of %d rows", lv.access.estRows, len(ps.table.Rows))
+		}
+		if n := len(lv.scanPreds); n > 0 {
+			fmt.Fprintf(sb, ", %d pushed pred(s)", n)
 		}
 		sb.WriteString("]\n")
 	}
@@ -68,47 +67,26 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			fmt.Fprintf(sb, "%sjoin %s: %s\n", ind, pq.sources[1].alias, mode)
 		}
 	case pq.hasJoin:
-		for i := range pq.joins {
-			jn := &pq.joins[i]
-			if jn.on == nil {
-				continue
+		for i := range pq.levels {
+			if lv := &pq.levels[i]; lv.typ != "cross" {
+				fmt.Fprintf(sb, "%sjoin %s %s: %s\n", ind, lv.typ, pq.sources[i].alias, pq.levelMode(i))
 			}
-			mode := "nested-loop"
-			if jn.hash {
-				mode = "hash build=" + pq.sources[i].alias
-				if jn.buildCol >= 0 && pq.sources[i].sub == nil {
-					mode += " (reuses index(" + pq.sources[i].cols[jn.buildCol] + "))"
-				}
-			}
-			fmt.Fprintf(sb, "%sjoin %s %s: %s\n", ind, jn.typ, pq.sources[i].alias, mode)
 		}
-		if pq.pred != nil {
+		if len(pq.residual) > 0 {
 			fmt.Fprintf(sb, "%sfilter: WHERE (monolithic, post-join)\n", ind)
 		}
-	case pq.pipe != nil:
+	case pq.decomposed:
 		for i := 1; i < len(pq.sources); i++ {
-			st := &pq.pipe.steps[i]
-			var mode string
-			switch {
-			case len(st.build) > 0 && pq.pipe.reverse:
-				mode = "hash build=" + pq.sources[0].alias + " (reversed, order-restoring merge)"
-			case len(st.build) > 0:
-				mode = "hash build=" + pq.sources[i].alias
-				if pq.buildReusable(i) {
-					mode += " (reuses index(" + pq.sources[i].cols[st.buildCol] + "))"
-				}
-			default:
-				mode = "nested-loop"
-			}
-			if len(st.filters) > 0 {
-				mode += fmt.Sprintf(" +%d hoisted filter(s)", len(st.filters))
+			mode := pq.levelMode(i)
+			if n := len(pq.levels[i].filters); n > 0 {
+				mode += fmt.Sprintf(" +%d hoisted filter(s)", n)
 			}
 			fmt.Fprintf(sb, "%sjoin %s: %s\n", ind, pq.sources[i].alias, mode)
 		}
-		if len(pq.pipe.residual) > 0 {
-			fmt.Fprintf(sb, "%sresidual: %d conjunct(s), original order\n", ind, len(pq.pipe.residual))
+		if len(pq.residual) > 0 {
+			fmt.Fprintf(sb, "%sresidual: %d conjunct(s), original order\n", ind, len(pq.residual))
 		}
-	case pq.pred != nil:
+	case len(pq.residual) > 0:
 		fmt.Fprintf(sb, "%sfilter: WHERE (monolithic)\n", ind)
 	}
 	vecMark := ""
@@ -144,10 +122,16 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 	}
 }
 
-// accessPath names source i's access path for EXPLAIN output.
-func (pq *planQuery) accessPath(i int) string {
-	if pq.pipe == nil {
-		return "full-scan"
+// levelMode names how level i joins for EXPLAIN output.
+func (pq *planQuery) levelMode(i int) string {
+	lv := &pq.levels[i]
+	switch {
+	case len(lv.build) == 0:
+		return "nested-loop"
+	case lv.reverse:
+		return "hash build=" + pq.sources[0].alias + " (reversed, order-restoring merge)"
+	case pq.buildReusable(i):
+		return "hash build=" + pq.sources[i].alias + " (reuses index(" + pq.sources[i].cols[lv.buildCol] + "))"
 	}
-	return pq.pipe.access[i].path()
+	return "hash build=" + pq.sources[i].alias
 }

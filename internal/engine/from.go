@@ -1,0 +1,848 @@
+package engine
+
+import (
+	"math/bits"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	dt "pi2/internal/difftree"
+)
+
+// This file implements the compiled row path's one FROM operator. Every FROM
+// clause, comma-separated or with JOIN steps, compiles into one level per
+// source, and the levels run left to right, one at a time: level i extends
+// every surviving prefix tuple of sources [0, i) with the matching rows of
+// source i, in prefix order and then scan order, which is exactly the
+// interpreter's nested-loop (crossFilter) and level-by-level (joinRows)
+// enumeration order.
+//
+// For a comma FROM the WHERE conjunction is decomposed at prepare time and
+// every conjunct is classified:
+//
+//   - single-source pure conjuncts are pushed down to that source's scan,
+//     filtering rows before any join work;
+//   - `a.x = b.y` conjuncts over two different sources become hash equi-join
+//     keys of the later source's level: that source is the build side and
+//     the bound prefix probes;
+//   - other pure multi-source conjuncts are hoisted to the earliest level
+//     that binds all of their sources;
+//   - everything else (subqueries, correlated references, arithmetic that
+//     can error, and every conjunct after the first possibly-erroring one)
+//     stays in the residual chain, evaluated in original conjunct order on
+//     fully joined rows.
+//
+// "Pure" means the conjunct can be proven at prepare time never to return an
+// evaluation error. Hoisting is allowed only when *every* conjunct in the
+// WHERE is pure: under three-valued logic a NULL conjunct does not stop the
+// interpreter's AND evaluation, so dropping a row early (at a scan, hash
+// probe, or hoisted filter) skips the evaluation of every later conjunct on
+// that row — which is only unobservable when all of those evaluations are
+// provably error-free. When any conjunct may error, the whole conjunction
+// stays in the residual chain, evaluated in original order with Kleene
+// semantics (FALSE stops, NULL continues) exactly like the interpreter.
+//
+// For a FROM with JOIN steps the WHERE stays monolithic, a one-entry
+// residual applied after the last level: pushing it below an outer join
+// would filter rows before the padding decision and resurrect NULL-padded
+// rows SQL drops. Each ON condition instead compiles into its own level by
+// the same purity gate: when every ON conjunct is pure and at least one is
+// `a.x = b.y` with the build side bound at this level, the level runs as a
+// hash join (NULL keys excluded — `=` never matches NULL, but for
+// RIGHT/FULL those rows still surface in the unmatched sweep) and the other
+// ON conjuncts filter each bucket row; otherwise the full compiled ON
+// (Kleene AND) evaluates per candidate pair in a nested loop, preserving
+// the interpreter's error order exactly. LEFT/FULL levels pad an unmatched
+// prefix in place; RIGHT/FULL levels append their unmatched rows after the
+// level's matched output with every earlier frame NULL-padded.
+//
+// Levels run one at a time because the interpreter evaluates every ON of
+// one level before any ON of the next, so errors surface in the same order.
+// Level 0's prefix list is its source's filtered row list itself. The last
+// level applies the residual on a reused probe environment and materializes
+// only the rows that survive it, so a single-source sweep filters in place.
+
+// level is one FROM source's step in the row-path operator.
+type level struct {
+	typ string // "cross" or "inner" for comma entries; JOIN levels keep "inner", "left", "right" or "full"
+
+	// Comma FROMs only: the pushed-down predicates of this source's scan and
+	// the access path chosen for them (cost.go).
+	scanPreds []exprFn
+	access    scanAccess
+
+	// Hash equi-join keys: probe reads frames bound at earlier levels, build
+	// this level's frame alone.
+	probe []exprFn
+	build []exprFn
+
+	// buildCol is the base-table column index when the build key is exactly
+	// one bare column reference (the shape whose hash table the DB's column
+	// index reproduces bit-for-bit); -1 otherwise.
+	buildCol int
+
+	// reverse builds the hash over the prefix instead, probes it with each
+	// of this level's rows and sorts the (prefix, row) pairs back into
+	// nested-loop order. The chooser sets it only on level 1 of a two-source
+	// comma join (chooseBuildSide), where the prefix list is level 0's rows.
+	reverse bool
+
+	filters []exprFn // pure filters: hoisted WHERE conjuncts or the remaining ON conjuncts
+	on      exprFn   // nested-loop ON: impure or non-equi JOIN levels
+}
+
+// hashSide is a built hash table over one source's filtered rows: bucket
+// lists hold row indexes in scan order so probing emits matches in the same
+// order the nested loop would have visited them. A build that borrows the
+// column's hash index (a single bare-column key over the whole table) sets
+// col instead and is probed by value.
+type hashSide struct {
+	idx     map[string]int
+	buckets [][]int
+	col     *hashIndex
+}
+
+// size is the number of distinct build keys, for profiles.
+func (h *hashSide) size() int {
+	if h.col != nil {
+		return h.col.size()
+	}
+	return len(h.buckets)
+}
+
+// match evaluates the probe keys against env and returns the build rows
+// with an equal key; a NULL key matches nothing. kb is scratch space.
+func (h *hashSide) match(keys []exprFn, env *rowEnv, kb *[]byte) ([]int, error) {
+	b := (*kb)[:0]
+	for _, kf := range keys {
+		v, err := kf(env)
+		if err != nil || v.Null {
+			return nil, err
+		}
+		if h.col != nil {
+			return h.col.rowsFor(v), nil // a borrowed build has one key
+		}
+		b = appendJoinKey(b, v)
+	}
+	*kb = b
+	if bi, ok := h.idx[string(b)]; ok {
+		return h.buckets[bi], nil
+	}
+	return nil, nil
+}
+
+// scanState caches the per-source scan and build work that is invariant
+// across executions of one plan: base tables cannot change under a live plan
+// (Plan.Exec refuses to run once the DB generation moves), and pushed
+// predicates and build keys are pure functions of the scanned row, so the
+// filtered row list and the hash table are computed once and shared by every
+// subsequent (possibly concurrent) Exec.
+type scanState struct {
+	scanOnce sync.Once
+	rows     [][]Value
+	scanErr  error
+
+	buildOnce sync.Once
+	hash      *hashSide
+	buildErr  error
+}
+
+// conjProps is the prepare-time classification of one WHERE conjunct.
+type conjProps struct {
+	pure   bool   // provably never returns an evaluation error
+	frames uint64 // bitmask of this query's own sources referenced
+}
+
+func (p conjProps) with(q conjProps) conjProps {
+	return conjProps{pure: p.pure && q.pure, frames: p.frames | q.frames}
+}
+
+// flattenAnd decomposes nested AND nodes into the ordered conjunct list.
+// AND evaluates children left to right with short-circuit, so flattening
+// preserves both value and error semantics.
+func flattenAnd(e *dt.Node, out []*dt.Node) []*dt.Node {
+	if e.Kind == dt.KindAnd {
+		for _, c := range e.Children {
+			out = flattenAnd(c, out)
+		}
+		return out
+	}
+	return append(out, e)
+}
+
+// localFrame resolves an identifier against this query's own sources only,
+// mirroring compileIdent's resolution order (first matching frame, first
+// matching column). ok is false for correlated and unknown names.
+func (c *compiler) localFrame(name string) (int, bool) {
+	fi, _, ok := c.localColumn(name)
+	return fi, ok
+}
+
+// localColumn is localFrame plus the resolved column index within the frame.
+func (c *compiler) localColumn(name string) (fi, ci int, ok bool) {
+	lower := strings.ToLower(name)
+	alias, col := "", lower
+	if i := strings.IndexByte(lower, '.'); i >= 0 {
+		alias, col = lower[:i], lower[i+1:]
+	}
+	if c.sc == nil {
+		return 0, 0, false
+	}
+	for fi, ps := range c.sc.sources {
+		if alias != "" && ps.alias != alias {
+			continue
+		}
+		for ci, pc := range ps.cols {
+			if pc == col {
+				return fi, ci, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// conjunctProps classifies an expression: whether it is provably error-free
+// and which of this query's sources it reads. Anything not recognized as
+// pure — subqueries, correlated references, arithmetic (which errors on
+// strings), date(), unknown functions, aggregates — is conservatively
+// impure and stays residual.
+func (c *compiler) conjunctProps(e *dt.Node) conjProps {
+	switch e.Kind {
+	case dt.KindNumber:
+		_, err := strconv.ParseFloat(e.Label, 64)
+		return conjProps{pure: err == nil}
+	case dt.KindString:
+		return conjProps{pure: true}
+	case dt.KindIdent:
+		if fi, ok := c.localFrame(e.Label); ok && fi < 64 {
+			return conjProps{pure: true, frames: 1 << uint(fi)}
+		}
+		return conjProps{}
+	case dt.KindAnd, dt.KindOr, dt.KindNot:
+		return c.allProps(e.Children)
+	case dt.KindBinary:
+		switch e.Label {
+		case "=", "<>", "<", ">", "<=", ">=", "like":
+			return c.allProps(e.Children)
+		}
+		// +,-,*,/ error on string operands; unknown operators always error.
+		return conjProps{}
+	case dt.KindBetween:
+		return c.allProps(e.Children)
+	case dt.KindIn:
+		if len(e.Children) != 2 || e.Children[1].Kind == dt.KindQuery {
+			return conjProps{}
+		}
+		return c.conjunctProps(e.Children[0]).with(c.allProps(e.Children[1].Children))
+	case dt.KindFunc:
+		switch e.Label {
+		case "today":
+			return conjProps{pure: true} // ignores arguments, never errors
+		case "abs", "round", "lower", "upper":
+			if len(e.Children) == 0 {
+				return conjProps{} // arity error at eval time
+			}
+			return c.allProps(e.Children)
+		}
+		return conjProps{}
+	default:
+		return conjProps{}
+	}
+}
+
+func (c *compiler) allProps(nodes []*dt.Node) conjProps {
+	p := conjProps{pure: true}
+	for _, n := range nodes {
+		p = p.with(c.conjunctProps(n))
+	}
+	return p
+}
+
+// equiSides recognizes an `a.x = b.y` conjunct over two different local
+// sources and returns the AST side bound to each: probe references the
+// earlier FROM entry, build the later one (the join's build side).
+func (c *compiler) equiSides(e *dt.Node) (probe, build *dt.Node, buildFrame int, ok bool) {
+	if e.Kind != dt.KindBinary || e.Label != "=" || len(e.Children) != 2 {
+		return nil, nil, 0, false
+	}
+	l, r := e.Children[0], e.Children[1]
+	if l.Kind != dt.KindIdent || r.Kind != dt.KindIdent {
+		return nil, nil, 0, false
+	}
+	fl, okl := c.localFrame(l.Label)
+	fr, okr := c.localFrame(r.Label)
+	if !okl || !okr || fl == fr {
+		return nil, nil, 0, false
+	}
+	if fl < fr {
+		return l, r, fr, true
+	}
+	return r, l, fl, true
+}
+
+// addKey makes e a hash key of the level that binds its later source when e
+// is an `a.x = b.y` conjunct hashing can serve; at >= 0 additionally
+// requires that level to be at (a JOIN level keys only on its own source).
+func (c *compiler) addKey(pq *planQuery, e *dt.Node, at int) bool {
+	probe, build, bf, ok := c.equiSides(e)
+	if !ok || (at >= 0 && bf != at) || !c.hashKeyable(probe, build) {
+		return false
+	}
+	lv := &pq.levels[bf]
+	lv.probe = append(lv.probe, c.compile(probe))
+	lv.build = append(lv.build, c.compile(build))
+	lv.buildCol = -1 // a composite key fits no single-column index
+	if len(lv.build) == 1 {
+		if _, ci, ok := c.localColumn(build.Label); ok {
+			lv.buildCol = ci
+		}
+	}
+	return true
+}
+
+// compileFrom compiles the FROM/WHERE of a query with at least one source
+// into pq.levels and pq.residual. c must be the inner (scoped) compiler of
+// the query; where is nil without a WHERE clause. ON conditions compile
+// against the prefix scope sources[:i+1]: a reference to a later FROM source
+// is an unknown column at level i, exactly as the interpreter's truncated
+// frame list resolves it.
+func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Node, outer *scope) {
+	n := len(pq.sources)
+	pq.levels = make([]level, n)
+	pq.scans = make([]scanState, n)
+	for i := range pq.levels {
+		pq.levels[i].typ = entries[i].typ
+		pq.levels[i].buildCol = -1
+	}
+	if pq.hasJoin {
+		if where != nil {
+			pq.residual = []exprFn{c.compile(where)}
+		}
+		for i, en := range entries {
+			if en.on == nil {
+				continue
+			}
+			lv := &pq.levels[i]
+			pc := &compiler{db: c.db, sc: &scope{sources: pq.sources[:i+1], outer: outer}, deps: c.deps}
+			lv.on = pc.compile(en.on)
+			if !pc.conjunctProps(en.on).pure {
+				continue
+			}
+			var rest []*dt.Node
+			for _, conj := range flattenAnd(en.on, nil) {
+				if !pc.addKey(pq, conj, i) {
+					rest = append(rest, conj)
+				}
+			}
+			if len(lv.build) > 0 {
+				lv.on, lv.filters = nil, pc.compileAll(rest)
+			}
+		}
+		return
+	}
+	if where == nil {
+		return
+	}
+
+	conjs := flattenAnd(where, nil)
+	allPure := n <= 64
+	for _, e := range conjs {
+		if !c.conjunctProps(e).pure {
+			allPure = false
+			break
+		}
+	}
+	cands := make([][]scanAccess, n)
+	var all []exprFn // every conjunct not made a hash key, in order
+	for _, e := range conjs {
+		props := c.conjunctProps(e)
+		multi := bits.OnesCount64(props.frames) > 1
+		if allPure && multi && c.addKey(pq, e, -1) {
+			continue
+		}
+		fn := c.compile(e)
+		all = append(all, fn)
+		switch {
+		case !allPure || props.frames == 0:
+			// Constant pure conjuncts are legal to hoist but worthless —
+			// they keep their original slot in the residual chain instead.
+			pq.residual = append(pq.residual, fn)
+		case !multi:
+			fi := bits.TrailingZeros64(props.frames)
+			pq.levels[fi].scanPreds = append(pq.levels[fi].scanPreds, fn)
+			if cand, ok := c.indexCandidate(pq, fi, e); ok {
+				cands[fi] = append(cands[fi], cand)
+			}
+		default:
+			hi := 63 - bits.LeadingZeros64(props.frames)
+			pq.levels[hi].filters = append(pq.levels[hi].filters, fn)
+		}
+	}
+	c.chooseAccess(pq, cands)
+	if n == 1 && pq.levels[0].access.mode == accessFull {
+		// The chooser kept the sweep, so decomposition bought nothing: the
+		// whole conjunction (one source has no hash keys) filters the rows
+		// in place on the last level.
+		pq.levels[0].scanPreds = nil
+		pq.residual = all
+		return
+	}
+	pq.decomposed = true
+	for i := 1; i < n; i++ {
+		if lv := &pq.levels[i]; len(lv.build) > 0 || len(lv.filters) > 0 {
+			lv.typ = "inner"
+		}
+	}
+	c.chooseBuildSide(pq)
+}
+
+// scanRows returns source i's rows filtered by its pushed-down predicates.
+// For base-table sources the result is computed once per plan and shared
+// across executions; derived tables re-filter per run (their rows change
+// with the outer environment).
+func (pq *planQuery) scanRows(i int, tbl *Table, cur []frame, probe *rowEnv) ([][]Value, error) {
+	preds := pq.levels[i].scanPreds
+	if len(preds) == 0 {
+		return tbl.Rows, nil
+	}
+	if pq.sources[i].sub != nil {
+		// Derived tables never get an index (nothing durable to index), so
+		// the access path is always a full sweep here.
+		return filterRows(tbl.Rows, preds, i, cur, probe)
+	}
+	st := &pq.scans[i]
+	st.scanOnce.Do(func() {
+		rows := tbl.Rows
+		if pq.levels[i].access.mode != accessFull {
+			// An index only narrows the candidate row set — a superset of
+			// the matching rows, in ascending row order — and then *every*
+			// pushed predicate, including the one the index served,
+			// re-evaluates over the candidates, so an over-approximating
+			// index can never change results.
+			idxRows := pq.indexRows(i, tbl)
+			rows = make([][]Value, len(idxRows))
+			for k, ri := range idxRows {
+				rows[k] = tbl.Rows[ri]
+			}
+		}
+		st.rows, st.scanErr = filterRows(rows, preds, i, cur, probe)
+	})
+	return st.rows, st.scanErr
+}
+
+// indexRows probes source i's chosen index and returns its candidate row
+// indexes, ascending. An equality probe returns the hash index's shared
+// bucket, so callers must treat the result as read-only.
+func (pq *planQuery) indexRows(i int, tbl *Table) []int {
+	a := pq.levels[i].access
+	var rows []int
+	switch a.mode {
+	case accessEq:
+		rows = pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
+	case accessRange:
+		rows = pq.db.sortedIndexFor(tbl, a.col).rangeRows(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
+	}
+	pq.db.idxHits.Add(1)
+	return rows
+}
+
+func filterRows(rows [][]Value, preds []exprFn, i int, cur []frame, probe *rowEnv) ([][]Value, error) {
+	var out [][]Value
+	for _, row := range rows {
+		cur[i].row = row
+		keep := true
+		for _, pf := range preds {
+			v, err := pf(probe)
+			if err != nil {
+				return nil, err
+			}
+			if !v.Truthy() {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, row)
+		}
+	}
+	return out, nil
+}
+
+// levelHash builds the hash table over level i's filtered rows, keyed by its
+// build expressions; cached across executions for base-table sources, where
+// a single bare-column key over the unfiltered table borrows the DB's
+// column index instead (buildReusable).
+func (pq *planQuery) levelHash(i int, rows [][]Value, cur []frame, probe *rowEnv) (*hashSide, error) {
+	lv := &pq.levels[i]
+	if pq.sources[i].sub != nil {
+		return buildHashSide(rows, lv.build, i, cur, probe)
+	}
+	st := &pq.scans[i]
+	st.buildOnce.Do(func() {
+		if pq.buildReusable(i) {
+			st.hash = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, lv.buildCol)}
+			pq.db.idxHits.Add(1)
+			return
+		}
+		st.hash, st.buildErr = buildHashSide(rows, lv.build, i, cur, probe)
+	})
+	return st.hash, st.buildErr
+}
+
+// buildHashSide hashes rows by keys evaluated with the row bound at frame i.
+// Rows with a NULL key value are excluded — `=` never matches NULL.
+func buildHashSide(rows [][]Value, keys []exprFn, i int, cur []frame, probe *rowEnv) (*hashSide, error) {
+	h := &hashSide{idx: make(map[string]int, len(rows))}
+	var kb []byte
+	for ri, row := range rows {
+		cur[i].row = row
+		kb = kb[:0]
+		null := false
+		for _, kf := range keys {
+			v, err := kf(probe)
+			if err != nil {
+				return nil, err
+			}
+			if v.Null {
+				null = true
+				break
+			}
+			kb = appendJoinKey(kb, v)
+		}
+		if null {
+			continue
+		}
+		if bi, ok := h.idx[string(kb)]; ok {
+			h.buckets[bi] = append(h.buckets[bi], ri)
+		} else {
+			h.idx[string(kb)] = len(h.buckets)
+			h.buckets = append(h.buckets, []int{ri})
+		}
+	}
+	return h, nil
+}
+
+// residualPass evaluates the residual chain with Kleene semantics: FALSE
+// drops the row immediately, NULL keeps evaluating (a later impure conjunct
+// must still surface its error) and drops the row at the end.
+func residualPass(residual []exprFn, probe *rowEnv) (bool, error) {
+	sawNull := false
+	for _, rf := range residual {
+		v, err := rf(probe)
+		if err != nil {
+			return false, err
+		}
+		if v.Null {
+			sawNull = true
+		} else if !v.Truthy() {
+			return false, nil
+		}
+	}
+	return !sawNull, nil
+}
+
+// fromRun is one execution of the level operator. cur holds the frame of
+// every source; probe is the reused environment over cur[:i+1] while level
+// i runs.
+type fromRun struct {
+	pq    *planQuery
+	cur   []frame
+	probe rowEnv
+	prof  *Profile
+
+	last bool      // the running level is the last one
+	next [][]Value // the next prefix list: one row per bound frame, flat
+	out  []*rowEnv // the rows that survived the residual (last level)
+
+	joined   int           // rows reaching the residual
+	residErr error         // first residual error, held while the level's ON may still error
+	residDur time.Duration // residual evaluation time, when profiling
+}
+
+// runFrom enumerates the query's FROM/WHERE and returns the surviving row
+// environments in the interpreter's enumeration order.
+func (pq *planQuery) runFrom(tables []*Table, outer *rowEnv, prof *Profile) ([]*rowEnv, error) {
+	n := len(pq.levels)
+	if n == 0 {
+		// SELECT without FROM: a single empty row.
+		env := &rowEnv{outer: outer}
+		pass, err := residualPass(pq.residual, env)
+		if err != nil || !pass {
+			return nil, err
+		}
+		return []*rowEnv{env}, nil
+	}
+	r := &fromRun{pq: pq, cur: make([]frame, n), prof: prof}
+	for i, ps := range pq.sources {
+		r.cur[i] = frame{alias: ps.alias, cols: ps.cols}
+	}
+	r.probe = rowEnv{frames: r.cur[:1], outer: outer}
+	prefix, err := r.scan(0, tables[0])
+	if err != nil {
+		return nil, err
+	}
+	if n == 1 {
+		r.last = true
+		for _, row := range prefix {
+			r.cur[0].row = row
+			if err := r.emit(0, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i := 1; i < n; i++ {
+		r.last = i == n-1
+		r.next = nil
+		if err := r.level(i, prefix, tables[i]); err != nil {
+			return nil, err
+		}
+		prefix = r.next
+	}
+	if prof != nil {
+		switch {
+		case pq.hasJoin:
+			if len(pq.residual) > 0 {
+				prof.add("filter", "where", r.joined, len(r.out), r.residDur)
+			}
+		case pq.decomposed:
+			if len(pq.residual) > 0 {
+				prof.add("residual", "", r.joined, len(r.out), r.residDur)
+			}
+		default:
+			prof.add("cross-filter", "", r.joined, len(r.out), r.residDur)
+		}
+	}
+	return r.out, nil
+}
+
+// scan returns level i's filtered source rows, reporting the scan.
+func (r *fromRun) scan(i int, tbl *Table) ([][]Value, error) {
+	var t0 time.Time
+	if r.prof != nil {
+		t0 = time.Now()
+	}
+	rows, err := r.pq.scanRows(i, tbl, r.cur, &r.probe)
+	if err != nil {
+		return nil, err
+	}
+	if r.prof != nil {
+		// Base-table scans cache across executions (scanState), so a warm
+		// scan legitimately reports ~0 time.
+		r.prof.addPath("scan", r.pq.sources[i].alias, r.pq.levels[i].access.path(), len(tbl.Rows), len(rows), time.Since(t0))
+	}
+	return rows, nil
+}
+
+// level runs level i >= 1 over the prefix list (i rows per prefix).
+func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
+	pq, lv, prof := r.pq, &r.pq.levels[i], r.prof
+	alias := pq.sources[i].alias
+	r.probe.frames = r.cur[:i+1]
+	rows, err := r.scan(i, tbl)
+	if err != nil {
+		return err
+	}
+	var t0 time.Time
+	var h *hashSide
+	if len(lv.build) > 0 && !lv.reverse {
+		if prof != nil {
+			t0 = time.Now()
+		}
+		if h, err = pq.levelHash(i, rows, r.cur, &r.probe); err != nil {
+			return err
+		}
+		if prof != nil {
+			path := ""
+			if pq.buildReusable(i) {
+				path = "index(" + pq.sources[i].cols[lv.buildCol] + ")"
+			}
+			prof.addPath("hash-build", alias, path, len(rows), h.size(), time.Since(t0))
+		}
+	}
+	if prof != nil {
+		t0 = time.Now()
+	}
+	np := len(prefix) / i
+	var kb []byte
+	if lv.reverse {
+		ph, err := buildHashSide(prefix, lv.probe, 0, r.cur, &r.probe)
+		if err != nil {
+			return err
+		}
+		if prof != nil {
+			prof.add("hash-build", pq.sources[0].alias, np, ph.size(), time.Since(t0))
+			t0 = time.Now()
+		}
+		type pair struct{ k, ri int }
+		var pairs []pair
+		for ri, row := range rows {
+			r.cur[i].row = row
+			hits, err := ph.match(lv.build, &r.probe, &kb)
+			if err != nil {
+				return err
+			}
+			for _, k := range hits {
+				pairs = append(pairs, pair{k, ri})
+			}
+		}
+		sort.Slice(pairs, func(a, b int) bool {
+			if pairs[a].k != pairs[b].k {
+				return pairs[a].k < pairs[b].k
+			}
+			return pairs[a].ri < pairs[b].ri
+		})
+		for _, p := range pairs {
+			r.cur[0].row = prefix[p.k]
+			if _, err := r.try(lv, i, rows[p.ri]); err != nil {
+				return err
+			}
+		}
+	} else {
+		var pad []Value
+		if lv.typ == "left" || lv.typ == "full" {
+			pad = nullRow(len(r.cur[i].cols))
+		}
+		var matched []bool
+		if lv.typ == "right" || lv.typ == "full" {
+			matched = make([]bool, len(rows))
+		}
+		for k := 0; k < np; k++ {
+			for j, row := range prefix[k*i : (k+1)*i] {
+				r.cur[j].row = row
+			}
+			cands, m := []int(nil), len(rows)
+			if h != nil {
+				if cands, err = h.match(lv.probe, &r.probe, &kb); err != nil {
+					return err
+				}
+				m = len(cands)
+			}
+			sawMatch := false
+			for x := 0; x < m; x++ {
+				ri := x
+				if h != nil {
+					ri = cands[x]
+				}
+				ok, err := r.try(lv, i, rows[ri])
+				if err != nil {
+					return err
+				}
+				if ok {
+					sawMatch = true
+					if matched != nil {
+						matched[ri] = true
+					}
+				}
+			}
+			if !sawMatch && pad != nil {
+				r.cur[i].row = pad
+				if err := r.emit(i, lv.on != nil); err != nil {
+					return err
+				}
+			}
+		}
+		if matched != nil {
+			for j := 0; j < i; j++ {
+				r.cur[j].row = nullRow(len(r.cur[j].cols))
+			}
+			for ri, row := range rows {
+				if !matched[ri] {
+					r.cur[i].row = row
+					if err := r.emit(i, false); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	if r.residErr != nil {
+		return r.residErr
+	}
+	if prof != nil {
+		mode, path := "loop", ""
+		switch {
+		case lv.reverse:
+			mode, path = "hash reversed", "build="+pq.sources[0].alias
+		case h != nil:
+			mode, path = "hash", "build="+alias
+		}
+		// Only the last level evaluates the residual; its time is reported
+		// apart.
+		out := r.joined
+		if !r.last {
+			out = len(r.next) / (i + 1)
+		}
+		prof.addPath("join", lv.typ+" "+alias+" ("+mode+")", path, np, out, time.Since(t0)-r.residDur)
+	}
+	return nil
+}
+
+// try binds row at level i and, when it passes the level's filters and
+// nested-loop ON, emits it; it reports whether the row matched.
+func (r *fromRun) try(lv *level, i int, row []Value) (bool, error) {
+	r.cur[i].row = row
+	for _, f := range lv.filters {
+		if v, err := f(&r.probe); err != nil || !v.Truthy() {
+			return false, err
+		}
+	}
+	if lv.on != nil {
+		if v, err := lv.on(&r.probe); err != nil || !v.Truthy() {
+			return false, err
+		}
+	}
+	return true, r.emit(i, lv.on != nil)
+}
+
+// emit passes the bound tuple cur[:i+1] on: into the next prefix list or, on
+// the last level, through the residual into the output. While the level's
+// ON may still error (hold), a residual error is held back until the level
+// ends, because the interpreter evaluates every ON of a level before any
+// WHERE.
+func (r *fromRun) emit(i int, hold bool) error {
+	if !r.last {
+		for j := 0; j <= i; j++ {
+			r.next = append(r.next, r.cur[j].row)
+		}
+		return nil
+	}
+	r.joined++
+	if res := r.pq.residual; len(res) > 0 {
+		if r.residErr != nil {
+			return nil
+		}
+		var t0 time.Time
+		if r.prof != nil {
+			t0 = time.Now()
+		}
+		pass, err := residualPass(res, &r.probe)
+		if r.prof != nil {
+			r.residDur += time.Since(t0)
+		}
+		if err != nil {
+			if !hold {
+				return err
+			}
+			r.residErr = err
+			return nil
+		}
+		if !pass {
+			return nil
+		}
+	}
+	keep := make([]frame, len(r.cur))
+	copy(keep, r.cur)
+	r.out = append(r.out, &rowEnv{frames: keep, outer: r.probe.outer})
+	return nil
+}
+
+// nullRow is the NULL padding of an n-column frame.
+func nullRow(n int) []Value {
+	row := make([]Value, n)
+	for j := range row {
+		row[j] = NullVal()
+	}
+	return row
+}

@@ -340,11 +340,21 @@ func TestNaNColumnDisablesIndex(t *testing.T) {
 			{NumVal(5), NumVal(30)},
 		},
 	})
+	// The row-path hash join must refuse a NaN key column too: under `=`
+	// a.k's NaN row joins both rows of b.
+	db.Add(&Table{Name: "a", Cols: []string{"k"}, Types: []ColType{TNum},
+		Rows: [][]Value{{NumVal(math.NaN())}, {NumVal(4)}}})
+	db.Add(&Table{Name: "b", Cols: []string{"k"}, Types: []ColType{TNum},
+		Rows: [][]Value{{NumVal(4)}, {NumVal(5)}}})
 	for _, sql := range []string{
 		"SELECT m FROM nan WHERE n = 5",
 		"SELECT m FROM nan WHERE n = 1",
 		"SELECT m FROM nan WHERE n >= 2",
 		"SELECT m FROM nan WHERE n BETWEEN 0 AND 3",
+		"SELECT a.k, b.k FROM a, b WHERE a.k = b.k",
+		"SELECT a.k, b.k FROM b, a WHERE a.k = b.k",
+		"SELECT a.k, b.k FROM a JOIN b ON a.k = b.k",
+		"SELECT a.k, b.k FROM b LEFT JOIN a ON a.k = b.k",
 	} {
 		checkExecEquivalence(t, db, sql)
 	}

@@ -9,8 +9,8 @@ import (
 	"pi2/internal/sqlparser"
 )
 
-// Micro-benchmarks for the operator pipeline. CI runs these for one
-// iteration under -race to exercise the pipeline's shared scan/build caches
+// Micro-benchmarks for the engine's row and columnar paths. CI runs these
+// for one iteration under -race to exercise the per-plan scan/build caches
 // concurrently-safely.
 
 // benchDB builds a fact table (rows rows) and a dim table (dims rows) with
@@ -58,13 +58,37 @@ func benchPlan(b *testing.B, db *DB, sql string) {
 
 const benchJoinSQL = `SELECT f.v, d.label FROM fact AS f, dim AS d WHERE f.k = d.k AND f.v > 25`
 
+// BenchmarkEngineJoin times the join shapes: hash is the comma join the
+// vectorized path takes; row-pipeline adds a lower() conjunct that keeps the
+// same join on the row path; row-reversed puts the smaller side first, so
+// the row path's hash level builds over its prefix (chooseBuildSide);
+// join-on and left-join-on are JOIN FROMs, which always run on the row path.
 func BenchmarkEngineJoin(b *testing.B) {
 	db := benchDB(2000, 200)
 	b.Run("hash", func(b *testing.B) { benchPlan(b, db, benchJoinSQL) })
+	b.Run("row-pipeline", func(b *testing.B) { benchPlan(b, db, benchJoinSQL+` AND lower(d.label) >= ''`) })
+	b.Run("row-reversed", func(b *testing.B) {
+		benchPlan(b, db, `SELECT f.v, d.label FROM dim AS d, fact AS f WHERE d.k = f.k AND f.v > 25 AND lower(d.label) >= ''`)
+	})
+	b.Run("join-on", func(b *testing.B) {
+		benchPlan(b, db, `SELECT f.v, d.label FROM fact AS f JOIN dim AS d ON f.k = d.k WHERE f.v > 25`)
+	})
+	b.Run("left-join-on", func(b *testing.B) {
+		benchPlan(b, db, `SELECT f.v, d.label FROM fact AS f LEFT JOIN dim AS d ON f.k = d.k WHERE f.v > 25`)
+	})
+}
+
+// BenchmarkEngineCorrelated times the Sales dashboard's correlated HAVING
+// subquery: the inner query runs once per outer group and sweeps the fact
+// table with a correlated predicate, a single-source row-path scan.
+func BenchmarkEngineCorrelated(b *testing.B) {
+	db := benchDB(1000, 4)
+	benchPlan(b, db, `SELECT grp, k, sum(v) FROM fact AS ff GROUP BY grp, k HAVING sum(v) >= `+
+		`(SELECT max(t) FROM (SELECT sum(v) AS t FROM fact AS f WHERE f.grp = ff.grp GROUP BY f.grp, f.k) AS m)`)
 }
 
 // BenchmarkEngineJoinCached measures the serving-shaped case: one prepared
-// plan executed repeatedly, where the pipeline's scan/build caches kick in.
+// plan executed repeatedly, where the per-plan scan/build caches kick in.
 func BenchmarkEngineJoinCached(b *testing.B) {
 	db := benchDB(2000, 200)
 	ast, err := sqlparser.Parse(benchJoinSQL)
@@ -194,10 +218,10 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineJoinBuildSide measures the reversed hash join: the scan
-// predicate on the big side defeats index reuse, and the two-row tiny side
-// wins the build by estimated cardinality, leaving an order-restoring merge
-// on the probe output.
+// BenchmarkEngineJoinBuildSide measures a join whose big side carries a
+// scan predicate, which defeats index reuse. The query is vectorizable, so
+// it runs the vectorized join over the filtered build side; the row path's
+// reversed build is timed by BenchmarkEngineJoin/row-reversed.
 func BenchmarkEngineJoinBuildSide(b *testing.B) {
 	db := benchScanDB()
 	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`)

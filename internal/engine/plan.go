@@ -61,11 +61,12 @@ func (d *depTracker) add(name string, ctr *atomic.Uint64, gen uint64) {
 var ErrStalePlan = errors.New("engine: plan is stale (database mutated since Prepare)")
 
 // Prepare compiles a concrete query AST (no choice nodes) into a Plan. The
-// plan executes through the relational operator pipeline: pushed-down scan
-// predicates, hash equi-joins, type-tagged grouping keys and a bounded
-// top-K heap for ORDER BY + LIMIT (see pipeline.go and ARCHITECTURE.md).
+// plan executes through one FROM operator (pushed-down scan predicates and
+// hash equi-joins, see from.go), type-tagged grouping keys and a bounded
+// top-K heap for ORDER BY + LIMIT (see sink.go and ARCHITECTURE.md), or
+// through the columnar batch path when the query fits it (vec.go).
 func Prepare(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modePipeline)
+	return prepare(db, q, modeCost)
 }
 
 // prepareForceIndex compiles like Prepare but makes the access-path chooser
@@ -95,9 +96,9 @@ func prepareForceIndexVec(db *DB, q *dt.Node) (*Plan, error) {
 type prepMode uint8
 
 const (
-	modePipeline      prepMode = iota // cost-based pipeline (Prepare)
-	modeForceIndex                    // pipeline with cost thresholds bypassed
-	modeForceVec                      // pipeline with the vectorized size gate bypassed
+	modeCost          prepMode = iota // cost-based plan (Prepare)
+	modeForceIndex                    // plan with cost thresholds bypassed
+	modeForceVec                      // plan with the vectorized size gate bypassed
 	modeForceIndexVec                 // both of the above
 )
 
@@ -181,11 +182,10 @@ type planQuery struct {
 	err error // deferred compile error (unknown table, bad table ref)
 
 	// db backs the run-time access-path machinery: index lookups in
-	// scanSource and hash-build reuse in buildHash/joinHash.
+	// scanRows and hash-build reuse in levelHash.
 	db *DB
 
 	sources []*planSource
-	pred    exprFn // nil when there is no WHERE clause
 
 	// items holds one compiled closure per select item; a nil entry is a
 	// '*' item, which appends every frame's row wholesale at projection
@@ -195,11 +195,15 @@ type planQuery struct {
 	items   []exprFn
 	hasStar bool
 
-	// joins holds one planJoin per source when the FROM clause contains any
-	// JOIN step; nil for comma-only FROMs, which keep the crossFilter /
-	// pipeline paths.
-	joins   []planJoin
-	hasJoin bool
+	// levels holds one FROM-operator level per source (from.go); residual
+	// is the WHERE left for the last level: the Kleene tail of a comma FROM's
+	// decomposed conjunction, the whole conjunction when nothing was pushed
+	// down (decomposed false), or a JOIN FROM's monolithic post-join WHERE.
+	levels     []level
+	residual   []exprFn
+	scans      []scanState // per-source scan/build caches
+	hasJoin    bool
+	decomposed bool
 
 	grouped    bool
 	hasGroupBy bool
@@ -212,9 +216,6 @@ type planQuery struct {
 	limit    int // -1 when absent
 	limitErr error
 	distinct bool
-
-	pipe  *pipePlan   // nil: no WHERE, no sources, a JOIN step, or a single-source sweep
-	scans []scanState // per-source scan/build caches (pipeline only)
 
 	// vec is the columnar batch plan when the query falls in the
 	// vectorizable class (vec.go); nil keeps the row paths above untouched.
@@ -309,33 +310,14 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 	sc := &scope{sources: pq.sources, outer: outer}
 	inner := &compiler{db: c.db, sc: sc, deps: c.deps, force: c.force, vecForce: c.vecForce}
 
+	var whereExpr *dt.Node
 	if where.Kind == dt.KindWhere {
-		if len(pq.sources) >= 1 && !pq.hasJoin {
-			// Comma joins and single-source queries: decompose the
-			// conjunction into the operator pipeline instead of one
-			// monolithic predicate. Single sources gain nothing from
-			// pushdown alone, but the decomposition is what lets the
-			// cost-based chooser (cost.go) route an equality or range
-			// conjunct through a per-column index instead of sweeping the
-			// table. JOIN-keyword queries skip the pipeline: WHERE must stay
-			// monolithic above outer joins (pushing a predicate below one
-			// would resurrect the NULL-padded rows it should have filtered),
-			// so it applies post-join, per row in order — see runJoin.
-			inner.compilePipe(pq, where.Children[0])
-			if len(pq.sources) == 1 && pq.pipe != nil && pq.pipe.access[0].mode == accessFull {
-				// The chooser kept the sweep, so decomposition bought
-				// nothing: fall back to the monolithic predicate, which
-				// filters in place instead of materializing per-row
-				// environments through the pipeline.
-				pq.pipe = nil
-				pq.pred = inner.compile(where.Children[0])
-			}
-		} else {
-			pq.pred = inner.compile(where.Children[0])
-		}
+		whereExpr = where.Children[0]
 	}
-	if pq.hasJoin {
-		c.compileJoins(pq, entries, outer)
+	if len(pq.sources) > 0 {
+		inner.compileFrom(pq, entries, whereExpr, outer)
+	} else if whereExpr != nil {
+		pq.residual = []exprFn{inner.compile(whereExpr)}
 	}
 	for _, item := range sel.Children {
 		if item.Children[0].Kind == dt.KindStar {
@@ -369,10 +351,6 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 	// Vectorized path (vec.go): attach a columnar batch plan when the whole
 	// query is recognizably vectorizable; otherwise pq.vec stays nil and the
 	// row paths above run untouched.
-	var whereExpr *dt.Node
-	if where.Kind == dt.KindWhere {
-		whereExpr = where.Children[0]
-	}
 	inner.compileVec(pq, sel, whereExpr, groupby, having, orderby)
 
 	// Output schema, computed once: reuse the interpreter's naming and type
@@ -478,36 +456,11 @@ func (pq *planQuery) run(outer *rowEnv, prof *Profile) (*Table, error) {
 	return &Table{Cols: pq.cols, Types: pq.types, Rows: outRows}, nil
 }
 
-// runRows is the row-at-a-time enumeration + projection half of run: the
-// level-by-level join evaluator when the FROM contains JOIN steps, the
-// operator pipeline when compiled, and the filtered cross product otherwise
-// (no WHERE, no sources, or a single-source sweep), followed by grouped or
-// plain projection into the sink.
+// runRows is the row-at-a-time half of run: the FROM operator enumerates
+// the surviving rows (from.go), then grouped or plain projection feeds the
+// sink.
 func (pq *planQuery) runRows(tables []*Table, outer *rowEnv, prof *Profile, sink *rowSink, offeredOut *int) error {
-	var rows []*rowEnv
-	var err error
-	switch {
-	case pq.hasJoin:
-		rows, err = pq.runJoin(tables, outer, prof)
-	case pq.pipe != nil:
-		rows, err = pq.runPipe(tables, outer, prof)
-	default:
-		var t0 time.Time
-		if prof != nil {
-			t0 = time.Now()
-		}
-		rows, err = pq.crossFilter(tables, outer)
-		if prof != nil {
-			in := 0
-			if len(pq.sources) > 0 {
-				in = 1
-				for _, t := range tables {
-					in *= len(t.Rows)
-				}
-			}
-			prof.add("cross-filter", "", in, len(rows), time.Since(t0))
-		}
-	}
+	rows, err := pq.runFrom(tables, outer, prof)
 	if err != nil {
 		return err
 	}
@@ -568,62 +521,6 @@ func (pq *planQuery) runRows(tables []*Table, outer *rowEnv, prof *Profile, sink
 	}
 	*offeredOut = offered
 	return nil
-}
-
-// crossFilter enumerates the filtered cross product. Unlike the interpreted
-// path it evaluates the predicate on a reused probe environment and only
-// materializes frames for surviving rows.
-func (pq *planQuery) crossFilter(tables []*Table, outer *rowEnv) ([]*rowEnv, error) {
-	n := len(pq.sources)
-	if n == 0 {
-		// SELECT without FROM: a single empty row.
-		env := &rowEnv{outer: outer}
-		if pq.pred != nil {
-			v, err := pq.pred(env)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				return nil, nil
-			}
-		}
-		return []*rowEnv{env}, nil
-	}
-	cur := make([]frame, n)
-	for i, ps := range pq.sources {
-		cur[i] = frame{alias: ps.alias, cols: ps.cols}
-	}
-	probe := &rowEnv{frames: cur, outer: outer}
-	var out []*rowEnv
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == n {
-			if pq.pred != nil {
-				v, err := pq.pred(probe)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
-			}
-			keep := make([]frame, n)
-			copy(keep, cur)
-			out = append(out, &rowEnv{frames: keep, outer: outer})
-			return nil
-		}
-		for _, row := range tables[i].Rows {
-			cur[i].row = row
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // groupRows partitions rows into groups by the compiled GROUP BY key in

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pi2/internal/sqlparser"
@@ -100,6 +101,26 @@ func TestPlanDefersEvaluationErrors(t *testing.T) {
 			t.Fatalf("%q: Exec should fail", sql)
 		}
 	}
+}
+
+// TestJoinErrorOrder pins the FROM operator's error order for JOIN levels.
+// The interpreter evaluates every ON of a level before the WHERE, so an ON
+// error on a later prefix (T.p = 3) wins over a WHERE error on an earlier
+// row (T.p = 1), although the last level evaluates the WHERE as it goes.
+func TestJoinErrorOrder(t *testing.T) {
+	db := testDB()
+	for _, sql := range []string{
+		`SELECT T.p FROM T JOIN emp ON T.p < 3 OR emp.dept / 1 > 0 WHERE nosuch(T.p) = 1`,
+		`SELECT T.p FROM T LEFT JOIN emp ON T.p < 3 OR emp.dept / 1 > 0 WHERE nosuch(T.p) = 1`,
+		`SELECT T.p FROM T, emp RIGHT JOIN dept ON T.p < 3 OR dept.city / 1 > 0 WHERE nosuch(T.p) = 1`,
+	} {
+		checkExecEquivalence(t, db, sql)
+		if _, err := planExec(t, db, sql, Prepare); err == nil || !strings.Contains(err.Error(), "arithmetic") {
+			t.Fatalf("%s: err = %v, want the ON's arithmetic error", sql, err)
+		}
+	}
+	// Without an ON error the first WHERE error surfaces.
+	checkExecEquivalence(t, db, `SELECT T.p FROM T JOIN emp ON T.p < 3 WHERE nosuch(T.p) = 1`)
 }
 
 func TestPlanStaleAfterDBMutation(t *testing.T) {

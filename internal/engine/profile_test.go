@@ -210,3 +210,69 @@ func TestExecUnaffectedByProfiledRun(t *testing.T) {
 		t.Fatalf("plain exec changed after profiled run:\n%v\n%v", a, b)
 	}
 }
+
+// joinChain checks the FROM operator's per-level report: one join op per
+// joined level, each taking in exactly the rows the previous level put out
+// (level 0's scan for the first), and returns the join ops in order.
+func joinChain(t *testing.T, prof *Profile, levels int) []OpStat {
+	t.Helper()
+	var scan0 *OpStat
+	var joins []OpStat
+	for k, op := range prof.Ops {
+		switch {
+		case op.Op == "scan" && scan0 == nil:
+			scan0 = &prof.Ops[k]
+		case op.Op == "join":
+			joins = append(joins, op)
+		}
+	}
+	if scan0 == nil || len(joins) != levels-1 {
+		t.Fatalf("want a scan and %d join ops, got %+v", levels-1, prof.Ops)
+	}
+	prev := scan0.RowsOut
+	for _, jn := range joins {
+		if jn.RowsIn != prev {
+			t.Fatalf("join %q takes %d rows in, previous level put out %d: %+v", jn.Detail, jn.RowsIn, prev, prof.Ops)
+		}
+		prev = jn.RowsOut
+	}
+	return joins
+}
+
+func TestProfileCommaLevels(t *testing.T) {
+	// Three comma sources: the equi conjunct keys dept's level, and the
+	// pure emp/T comparison is hoisted to T's level, the one binding both.
+	db := testDB()
+	sql := "SELECT emp.id, dept.city, T.p FROM emp, dept, T WHERE emp.dept = dept.name AND T.a >= emp.id"
+	if s := planFor(t, db, sql, Prepare).Explain(); !strings.Contains(s, "join t: nested-loop +1 hoisted filter(s)") {
+		t.Fatalf("filter not hoisted to level 2:\n%s", s)
+	}
+	joins := joinChain(t, profiled(t, db, sql), 3)
+	if joins[0].Detail != "inner dept (hash)" || joins[1].Detail != "inner t (loop)" {
+		t.Fatalf("join details = %q, %q", joins[0].Detail, joins[1].Detail)
+	}
+	// Every emp row finds its dept; T.a >= emp.id then keeps all five T rows
+	// for id 1 and the two with a = 2 for id 2.
+	if joins[0].RowsOut != 4 || joins[1].RowsOut != 7 {
+		t.Fatalf("level outputs %d, %d; want 4, 7", joins[0].RowsOut, joins[1].RowsOut)
+	}
+}
+
+func TestProfileMixedCommaAndJoin(t *testing.T) {
+	// A comma entry, then a LEFT JOIN: the WHERE stays a monolithic filter
+	// after the last level.
+	db := testDB()
+	sql := "SELECT T.p, emp.id, dept.city FROM T, emp LEFT JOIN dept ON emp.dept = dept.name AND dept.city = 'SF' WHERE T.p = emp.id"
+	prof := profiled(t, db, sql)
+	joins := joinChain(t, prof, 3)
+	if joins[0].Detail != "cross emp (loop)" || joins[1].Detail != "left dept (hash)" {
+		t.Fatalf("join details = %q, %q", joins[0].Detail, joins[1].Detail)
+	}
+	if joins[0].RowsOut != 20 || joins[1].RowsOut != 20 {
+		t.Fatalf("level outputs %d, %d; want 20, 20 (LEFT pads)", joins[0].RowsOut, joins[1].RowsOut)
+	}
+	f, ok := opsByName(prof)["filter"]
+	if !ok || f.RowsIn != 20 || f.RowsOut != 5 {
+		t.Fatalf("post-join WHERE = %+v (ok=%v), want 20 -> 5", f, ok)
+	}
+}

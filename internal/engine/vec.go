@@ -22,19 +22,19 @@ import (
 //     all-numeric NaN-free or both all-string — the classes where keying on
 //     raw column data reproduces appendJoinKey's `=` coercion bit for bit
 //     (key.go: joinKeyBits / raw strings). Mixed-type or NaN-bearing key
-//     columns fall back to the row pipeline's encoded-key hash join;
+//     columns fall back to the row path's encoded-key hash join;
 //   - select items, GROUP BY keys and ORDER BY keys are bare local columns
 //     (grouped queries additionally allow literals and count/sum/avg/min/max
 //     over a bare column, and HAVING one comparison over those atoms).
 //
-// Everything else keeps the row pipeline. An index the cost chooser picked
+// Everything else keeps the row path. An index the cost chooser picked
 // for a source does not disqualify the query: its candidate rows seed that
 // source's selection in place of the whole table, and every pushed
 // predicate, the served one included, re-checks them — the same "an index
 // only narrows" invariant the row path's scans keep (cost.go).
 //
 // Because every recognized conjunct is provably pure (no evaluation errors)
-// the pushdown/hoisting soundness argument from pipeline.go applies
+// the pushdown/hoisting soundness argument from from.go applies
 // wholesale, and the runtime (vecexec.go) re-materializes batch output in
 // the interpreter's nested-loop scan order, so the vectorized path is
 // bit-identical to the other paths — including
@@ -241,7 +241,7 @@ type vecState struct {
 const minVecRows = 64
 
 // compileVec attaches a vectorized plan to pq when the query is eligible.
-// Must run after the pipeline/pred compilation (an index the chooser picked
+// Must run after the FROM compilation (an index the chooser picked
 // there seeds the source's selection, see runVec) and after
 // grouped/hasStar/distinct are known. c must be the inner (scoped) compiler.
 func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderby *dt.Node) {
@@ -302,7 +302,7 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 	// Pick the first hash-keyable equi conjunct; the rest become Compare
 	// cross predicates (exact `=` semantics). An equi conjunct that cannot
 	// be keyed (mixed-type or NaN column) makes the whole query ineligible —
-	// the row pipeline's encoded-key hash join handles it better than a
+	// the row path's encoded-key hash join handles it better than a
 	// vectorized nested loop would.
 	for _, eq := range equis {
 		if !vp.hasKey {

@@ -265,7 +265,7 @@ func TestVecBatchHook(t *testing.T) {
 
 // TestVecDisabledPathAllocFree pins the cost of the columnar layer when it is
 // not in use: counter reads and disabled-hook batch notes allocate nothing,
-// and queries the chooser routes to the row pipeline carry no vec plan.
+// and queries the chooser routes to the row path carry no vec plan.
 func TestVecDisabledPathAllocFree(t *testing.T) {
 	db := vecDB()
 	if n := testing.AllocsPerRun(100, func() { db.noteBatch(512) }); n != 0 {

@@ -7,7 +7,7 @@ import (
 
 // The vectorized execution path: runtime half. runVec executes a compiled
 // vecPlan over columnar storage (colstore.go) and feeds the same rowSink the
-// row pipeline feeds, so DISTINCT/ORDER BY/LIMIT and the top-K heap are
+// row path feeds, so DISTINCT/ORDER BY/LIMIT and the top-K heap are
 // shared verbatim. Operators walk selection vectors in batchSize chunks:
 //
 //   scan    — per-source selection vectors (the whole table, or the
@@ -64,7 +64,7 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 				if pq.vecIndexed(i) {
 					// The index names the access path, as on the row path;
 					// the batch count says the columnar filter ran.
-					path = pq.pipe.access[i].path()
+					path = pq.levels[i].access.path()
 				}
 				if freshScan {
 					d = vs.selDur[i]
@@ -150,7 +150,7 @@ func (pq *planQuery) vecSelect(i int) ([]int32, int) {
 // vecIndexed reports whether source i's selection is seeded from the index
 // the cost chooser picked for it.
 func (pq *planQuery) vecIndexed(i int) bool {
-	return pq.pipe != nil && pq.pipe.access[i].mode != accessFull
+	return pq.levels[i].access.mode != accessFull
 }
 
 // filterSel keeps the rows of sel that satisfy the predicate, compacting in
