@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"pi2/internal/sqlparser"
 )
@@ -225,4 +226,50 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 func BenchmarkEngineJoinBuildSide(b *testing.B) {
 	db := benchScanDB()
 	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`)
+}
+
+// BenchmarkEngineCovidDateWindow times the Covid dashboard's date-windowed
+// read (Figure 15b) over a 50-state × 730-day table: one prepared plan
+// executed repeatedly, the way a served widget re-reads it. The window bound
+// is written as date(today(), …), a literal-only call.
+func BenchmarkEngineCovidDateWindow(b *testing.B) {
+	r := rand.New(rand.NewSource(2020))
+	db := NewDB("2020-12-31")
+	covid := &Table{Name: "covid", Cols: []string{"state", "date", "cases", "deaths"},
+		Types: []ColType{TStr, TStr, TNum, TNum}}
+	states := []string{"WA", "CA", "NY"}
+	for len(states) < 50 {
+		states = append(states, fmt.Sprintf("S%02d", len(states)))
+	}
+	end := time.Date(2020, 12, 31, 0, 0, 0, 0, time.UTC)
+	for _, st := range states {
+		for d := 729; d >= 0; d-- {
+			covid.Rows = append(covid.Rows, []Value{
+				StrVal(st),
+				StrVal(end.AddDate(0, 0, -d).Format("2006-01-02")),
+				NumVal(float64(r.Intn(10000))),
+				NumVal(float64(r.Intn(200))),
+			})
+		}
+	}
+	db.Add(covid)
+	ast, err := sqlparser.Parse(`SELECT date, cases FROM covid WHERE state = 'WA' AND date > date(today(), '-30 days')`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := Prepare(db, ast)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := plan.Exec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(t.Rows) != 30 {
+			b.Fatalf("got %d rows, want 30", len(t.Rows))
+		}
+	}
 }
