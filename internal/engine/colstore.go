@@ -14,23 +14,27 @@ import (
 // a stale table pointer, and a write to one table leaves every other
 // table's columnar image warm.
 //
-// Layout: one colData per column, holding parallel num/str slices plus two
-// bitmaps (NULL, is-string). A cell is reconstructed bit-identically to the
-// row-store Value it came from; build verifies that every cell is in the
-// canonical Value encoding (NullVal/NumVal/StrVal shapes) and that no row is
-// shorter than the schema — tables violating either are marked ineligible
-// and the planner keeps them on the row path, where the original semantics
-// (including the interpreter's panic on ragged direct access) are preserved.
+// Layout: one colData per column, holding parallel num/str slices (each
+// only when a cell of its kind exists) plus two bitmaps (NULL, is-string). A
+// cell is reconstructed bit-identically to the row-store Value it came from;
+// build verifies that every cell is in the canonical Value encoding
+// (NullVal/NumVal/StrVal shapes) and that no row is shorter than the schema —
+// tables violating either are marked ineligible and the planner keeps them on
+// the row path, where the original semantics (including the interpreter's
+// panic on ragged direct access) are preserved.
 
 // batchSize is the fixed vectorized batch width: operators walk selections
 // in chunks of this many rows, which keeps the working set cache-resident
 // and gives the rows-per-batch histogram its natural bucket ceiling.
 const batchSize = 1024
 
-// colData is one table column in columnar form.
+// colData is one table column in columnar form. nums is allocated only when
+// the column holds a numeric cell and strs only when it holds a string cell,
+// so a single-kind column carries one array; every reader first checks the
+// cell's NULL and is-string bits (or allNum/allStr, which imply them).
 type colData struct {
-	nums  []float64 // numeric cells (zero elsewhere)
-	strs  []string  // string cells (empty elsewhere)
+	nums  []float64 // numeric cells (zero elsewhere); nil without numeric cells
+	strs  []string  // string cells (empty elsewhere); nil without string cells
 	null  []uint64  // bitmap: cell is NULL
 	isStr []uint64  // bitmap: cell is a non-null string
 
@@ -87,8 +91,6 @@ func buildTableCols(t *Table) *tableCols {
 	words := (n + 63) / 64
 	for ci := range tc.cols {
 		cd := &tc.cols[ci]
-		cd.nums = make([]float64, n)
-		cd.strs = make([]string, n)
 		cd.null = make([]uint64, words)
 		cd.isStr = make([]uint64, words)
 		cd.allInt = true
@@ -115,11 +117,17 @@ func buildTableCols(t *Table) *tableCols {
 					tc.ok = false
 				}
 				bitSet(cd.isStr, ri)
+				if cd.strs == nil {
+					cd.strs = make([]string, n)
+				}
 				cd.strs[ri] = v.Str
 				cd.strCells++
 			default:
 				if v.Str != "" {
 					tc.ok = false
+				}
+				if cd.nums == nil {
+					cd.nums = make([]float64, n)
 				}
 				cd.nums[ri] = v.Num
 				cd.numCells++

@@ -322,7 +322,8 @@ func (c *compiler) chooseBuildSide(pq *planQuery) {
 // there (see hashIndex.rowsFor). Nor where one side may hold NaN and the
 // other a number: Compare(NaN, x) == 0 for every number x, so `=` matches a
 // NaN row to every number while the hash keys NaN apart. Such a conjunct is
-// evaluated as a filter instead. A derived table's column may hold
+// evaluated as a filter instead. A derived table's column that copies a base
+// column holds that column's kinds; any other derived column may hold
 // anything.
 func (c *compiler) hashKeyable(a, b *dt.Node) bool {
 	ka, kb := c.keyKinds(a), c.keyKinds(b)
@@ -336,12 +337,71 @@ type keyKind struct{ negZero, nan, num, str bool }
 // keyKinds reports what the local column e may hold.
 func (c *compiler) keyKinds(e *dt.Node) keyKind {
 	fi, ci, _ := c.localColumn(e.Label)
-	t := c.sc.sources[fi].table
-	if t == nil {
-		return keyKind{true, true, true, true}
+	return c.sourceKinds(c.sc.sources[fi], ci)
+}
+
+// sourceKinds reports what column ci of a FROM source may hold: a base
+// table's column flags, or, for a derived table, the flags of the source
+// column its output column copies cell for cell (planQuery.origin).
+func (c *compiler) sourceKinds(ps *planSource, ci int) keyKind {
+	if t := ps.table; t != nil {
+		cd := &c.db.columnsFor(t).cols[ci]
+		return keyKind{negZero: cd.negZero, nan: cd.hasNaN, num: cd.numCells > 0, str: cd.strCells > 0}
 	}
-	cd := &c.db.columnsFor(t).cols[ci]
-	return keyKind{negZero: cd.negZero, nan: cd.hasNaN, num: cd.numCells > 0, str: cd.strCells > 0}
+	if ps.sub != nil {
+		if src, col, ok := ps.sub.origin(ci); ok {
+			return c.sourceKinds(ps.sub.sources[src], col)
+		}
+	}
+	return keyKind{true, true, true, true}
+}
+
+// origin maps output column ci of a derived table's query to the column of
+// its own sources that every cell of ci is copied from: a bare local column
+// reference, or a '*' expansion over base tables whose rows all have their
+// schema's width (a ragged row would shift every later column). ok is false
+// for a computed column. An implicitly grouped query has no origins: over no
+// rows its one empty group resolves bare names outward and '*' expands to
+// nothing.
+func (pq *planQuery) origin(ci int) (src, col int, ok bool) {
+	if pq.err != nil || (pq.grouped && !pq.hasGroupBy) {
+		return 0, 0, false
+	}
+	lc := &compiler{sc: &scope{sources: pq.sources}}
+	pos := 0
+	for _, item := range pq.sel {
+		e := item.Children[0]
+		if e.Kind != dt.KindStar {
+			if pos == ci {
+				if e.Kind != dt.KindIdent {
+					return 0, 0, false
+				}
+				return lc.localColumn(e.Label)
+			}
+			pos++
+			continue
+		}
+		for si, ps := range pq.sources {
+			if ps.table == nil || !fullWidth(ps.table) {
+				return 0, 0, false
+			}
+			if ci < pos+len(ps.cols) {
+				return si, ci - pos, true
+			}
+			pos += len(ps.cols)
+		}
+	}
+	return 0, 0, false
+}
+
+// fullWidth reports whether every row of t has exactly one cell per column.
+func fullWidth(t *Table) bool {
+	for _, row := range t.Rows {
+		if len(row) != len(t.Cols) {
+			return false
+		}
+	}
+	return true
 }
 
 // buildReusable reports whether level i's hash build can be served

@@ -207,7 +207,8 @@ func (c *compiler) localColumn(name string) (fi, ci int, ok bool) {
 // and which of this query's sources it reads. Anything not recognized as
 // pure — subqueries, correlated references, arithmetic (which errors on
 // strings), date(), unknown functions, aggregates — is conservatively
-// impure and stays residual.
+// impure and stays residual. It runs after foldCalls, so a literal-only
+// date() that evaluates cleanly arrives here as a literal.
 func (c *compiler) conjunctProps(e *dt.Node) conjProps {
 	switch e.Kind {
 	case dt.KindNumber:

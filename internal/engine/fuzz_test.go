@@ -257,6 +257,8 @@ func genQuery(r *rand.Rand) string {
 			if c, ok := strCol(cur); ok {
 				conds = append(conds, fmt.Sprintf("%s LIKE '%s'", c, genStrLits[r.Intn(len(genStrLits))]))
 			}
+		case 2: // literal-only call: folds at Prepare, errors, or is NULL
+			conds = append(conds, litCallConj(r, cur, numCol, strCol))
 		}
 		return strings.Join(conds, " AND ")
 	}
@@ -275,7 +277,7 @@ func genQuery(r *rand.Rand) string {
 	// shapes (arithmetic, subqueries) in random order.
 	var conjs []string
 	for i, n := 0, r.Intn(4); i < n; i++ {
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0: // single-source numeric comparison (pushdown candidate)
 			if c, ok := numCol(src()); ok {
 				ops := []string{"<", "<=", ">", ">=", "=", "<>"}
@@ -312,7 +314,7 @@ func genQuery(r *rand.Rand) string {
 				a, b := srcs[0], srcs[nSrc-1]
 				conjs = append(conjs, fmt.Sprintf("%s <= %s", anyCol(a), anyCol(b)))
 			}
-		case 7: // residual shapes: scalar subquery or a date() comparison
+		case 7: // scalar subquery (residual) or a date(today(), …) bound (folded)
 			if r.Intn(3) == 0 {
 				s := src()
 				if c, ok := strCol(s); ok && s.tbl.name == "events" {
@@ -327,6 +329,8 @@ func genQuery(r *rand.Rand) string {
 				}
 				conjs = append(conjs, fmt.Sprintf("%s <= (%s)", c, sub))
 			}
+		case 8: // literal-only call: folds at Prepare, errors, or is NULL
+			conjs = append(conjs, litCallConj(r, src(), numCol, strCol))
 		}
 	}
 
@@ -384,6 +388,37 @@ func genQuery(r *rand.Rand) string {
 		fmt.Fprintf(&sb, " LIMIT %d", r.Intn(8))
 	}
 	return sb.String()
+}
+
+// litCallConj compares a column of s with a literal-only call. Prepare folds
+// the first kind (date(today(), …) against a string column, lower/upper of a
+// string, abs/round of a number) into a literal; the others must stay calls:
+// date() of a bad date or a bad unit errors, abs() of a string is NULL.
+func litCallConj(r *rand.Rand, s genSource, numCol, strCol func(genSource) (string, bool)) string {
+	ops := []string{"<", "<=", ">", ">=", "=", "<>"}
+	op := ops[r.Intn(len(ops))]
+	c, isNum := numCol(s)
+	if !isNum || (r.Intn(2) == 0 && len(s.tbl.strCols) > 0) {
+		c, _ = strCol(s)
+		isNum = false
+	}
+	var call string
+	switch k := r.Intn(8); {
+	case k == 0:
+		call = "date('bad', '-1 days')"
+	case k == 1:
+		call = "date(today(), '3 fortnights')"
+	case k == 2:
+		call = "abs('x')"
+	case isNum:
+		call = []string{"abs(-3)", "abs(-2.5)", "round(2.5)", "abs(round(-7.25))", "abs(-0)"}[r.Intn(5)]
+	default:
+		call = []string{
+			fmt.Sprintf("date(today(), '-%d days')", 5+r.Intn(40)),
+			"lower('ENG')", "upper('nyc')", "lower(upper('Ops'))",
+		}[r.Intn(4)]
+	}
+	return fmt.Sprintf("%s %s %s", c, op, call)
 }
 
 func writeWhere(sb *strings.Builder, conjs []string) {

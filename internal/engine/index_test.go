@@ -364,6 +364,55 @@ func TestNaNColumnDisablesIndex(t *testing.T) {
 	}
 }
 
+// TestDerivedColumnsInheritKinds checks that a derived table's column that
+// copies a base column, bare or through '*', joins by hash exactly when the
+// base column could, and that every other derived column still counts as
+// possibly NaN, numeric, -0 and string.
+func TestDerivedColumnsInheritKinds(t *testing.T) {
+	db := NewDB("2020-12-31")
+	num := func(k ...float64) [][]Value {
+		rows := make([][]Value, len(k))
+		for i, v := range k {
+			rows[i] = []Value{NumVal(v), NumVal(float64(i))}
+		}
+		return rows
+	}
+	cols, types := []string{"k", "i"}, []ColType{TNum, TNum}
+	db.Add(&Table{Name: "a", Cols: cols, Types: types, Rows: num(math.NaN(), 4)})
+	db.Add(&Table{Name: "b", Cols: cols, Types: types, Rows: num(4, 5, 4)})
+	db.Add(&Table{Name: "c", Cols: cols, Types: types, Rows: num(5, 4, 6)})
+	db.Add(&Table{Name: "rag", Cols: cols, Types: types,
+		Rows: [][]Value{{NumVal(4), NumVal(0)}, {NumVal(5)}}})
+	for _, tc := range []struct {
+		from string
+		hash bool
+	}{
+		{`(SELECT * FROM b) AS x`, true},
+		{`(SELECT k FROM b WHERE i > 0) AS x`, true},
+		{`(SELECT i + 1 AS j, * FROM b) AS x`, true},
+		{`(SELECT k FROM (SELECT * FROM b) AS y) AS x`, true},
+		{`(SELECT k, count(*) AS n FROM b GROUP BY k) AS x`, true},
+		{`(SELECT * FROM a) AS x`, false},                // NaN meets numbers
+		{`(SELECT k + 0 AS k FROM b) AS x`, false},       // computed
+		{`(SELECT k, count(*) AS n FROM b) AS x`, false}, // implicit group: may be empty
+		{`(SELECT * FROM rag) AS x`, false},              // ragged rows shift '*'
+		{`(SELECT * FROM rag, b) AS x`, false},           // ... of an earlier source
+		{`(SELECT * FROM b, rag) AS x`, true},            // x.k is b.k, before rag's cells
+		{`(SELECT i AS k FROM b, a WHERE b.k = a.k) AS x`, true},
+	} {
+		for _, sql := range []string{
+			`SELECT c.i, x.k FROM c, ` + tc.from + ` WHERE c.k = x.k`,
+			`SELECT c.i, x.k FROM c LEFT JOIN ` + tc.from + ` ON c.k = x.k`,
+		} {
+			checkExecEquivalence(t, db, sql)
+			ex := planFor(t, db, sql, Prepare).Explain()
+			if got := strings.Contains(ex, "hash build=x"); got != tc.hash {
+				t.Errorf("%s: hash join = %v, want %v:\n%s", sql, got, tc.hash, ex)
+			}
+		}
+	}
+}
+
 func TestJoinBuildReusesColumnIndex(t *testing.T) {
 	db := bigDB()
 	// The vectorized join reuses the DB-cached whole-column columnar hash.

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -194,6 +195,7 @@ type planQuery struct {
 	// per-column accesses).
 	items   []exprFn
 	hasStar bool
+	sel     []*dt.Node // the select items' AST, for derived-column origins (cost.go)
 
 	// levels holds one FROM-operator level per source (from.go); residual
 	// is the WHERE left for the last level: the Kleene tail of a comma FROM's
@@ -245,7 +247,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 	sel, from, where := q.Children[0], q.Children[1], q.Children[2]
 	groupby, having, orderby, limit := q.Children[3], q.Children[4], q.Children[5], q.Children[6]
 
-	pq := &planQuery{db: c.db, limit: -1, distinct: sel.Label == "distinct"}
+	pq := &planQuery{db: c.db, limit: -1, distinct: sel.Label == "distinct", sel: sel.Children}
 
 	// FROM: resolve base tables now; compile derived tables against the
 	// enclosing scope (they may be correlated with the outer query but not
@@ -257,6 +259,13 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 		if entErr != nil {
 			pq.err = entErr
 			return pq
+		}
+		// ON and WHERE compile with their literal-only calls folded, so the
+		// pushdown, index and columnar classifiers see literals.
+		for i := range entries {
+			if entries[i].on != nil {
+				entries[i].on = c.foldCalls(entries[i].on)
+			}
 		}
 		for _, en := range entries {
 			src, alias := en.ref.Children[0], en.ref.Children[1]
@@ -312,7 +321,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 
 	var whereExpr *dt.Node
 	if where.Kind == dt.KindWhere {
-		whereExpr = where.Children[0]
+		whereExpr = c.foldCalls(where.Children[0])
 	}
 	if len(pq.sources) > 0 {
 		inner.compileFrom(pq, entries, whereExpr, outer)
@@ -366,6 +375,57 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 		pq.types[i] = inferColType(c.db, item, pseudo, nil)
 	}
 	return pq
+}
+
+// foldCalls returns e with every literal-only call of a built-in scalar
+// function (today, date, abs, round, lower, upper) replaced by a literal of
+// its value, folded bottom-up so date(today(), '-7 days') folds whole. A call
+// folds only when it evaluates without error to a non-NULL string or a
+// finite number; anything else stays a call, so error text and error order
+// do not change. DB.Now is fixed for the DB's lifetime, which makes today() a
+// constant. Subqueries are left alone (each query level folds its own WHERE
+// and ON), and e is never mutated: a changed node is rebuilt with dt.New and
+// unchanged subtrees are shared.
+func (c *compiler) foldCalls(e *dt.Node) *dt.Node {
+	if e.Kind == dt.KindQuery {
+		return e
+	}
+	var kids []*dt.Node
+	for i, ch := range e.Children {
+		f := c.foldCalls(ch)
+		if f != ch && kids == nil {
+			kids = append(make([]*dt.Node, 0, len(e.Children)), e.Children[:i]...)
+		}
+		if kids != nil {
+			kids = append(kids, f)
+		}
+	}
+	if kids != nil {
+		e = dt.New(e.Kind, e.Label, kids...)
+	}
+	if e.Kind != dt.KindFunc {
+		return e
+	}
+	switch e.Label {
+	case "today", "date", "abs", "round", "lower", "upper":
+	default:
+		return e
+	}
+	for _, ch := range e.Children {
+		if !ch.Kind.IsLiteral() {
+			return e
+		}
+	}
+	v, err := c.compileFunc(e)(&rowEnv{})
+	switch {
+	case err != nil || v.Null:
+		return e
+	case v.IsStr:
+		return dt.New(dt.KindString, v.Str)
+	case math.IsInf(v.Num, 0) || v.Num != v.Num:
+		return e
+	}
+	return dt.New(dt.KindNumber, strconv.FormatFloat(v.Num, 'g', -1, 64))
 }
 
 // run executes the compiled query, mirroring execQuery step for step.

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	dt "pi2/internal/difftree"
 	"pi2/internal/sqlparser"
+	"pi2/internal/workload"
 )
 
 // planRun prepares and executes sql on the compiled path.
@@ -190,5 +193,99 @@ func BenchmarkExecPlanned(b *testing.B) {
 		if _, err := plan.Exec(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFoldLiteralCalls checks the Prepare-time fold of literal-only calls in
+// WHERE and ON. The Covid dashboard's date-windowed reads fold
+// date(today(), …) into a literal, so state = … reaches the index chooser and
+// the columnar path. A call that errors or returns NULL stays a call, with
+// the interpreter's error text and its FALSE-before-error order. A call in a
+// select item is not rewritten, so its column keeps its name.
+func TestFoldLiteralCalls(t *testing.T) {
+	cdb := covidDB(40) // 2,000 rows: past the index and columnar cost gates
+	n := 0
+	for _, sql := range workload.Covid().Queries {
+		if !strings.Contains(sql, "today()") {
+			continue
+		}
+		n++
+		ex := planFor(t, cdb, sql, Prepare).Explain()
+		if !strings.Contains(ex, "scan covid [index-scan(state) → vectorized-filter, 2 pushed pred(s)") {
+			t.Errorf("%s: want index-scan(state) → vectorized-filter, got\n%s", sql, ex)
+		}
+		checkExecEquivalence(t, cdb, sql)
+	}
+	if n != 5 {
+		t.Fatalf("found %d Covid date-window queries, want 5", n)
+	}
+
+	db := testDB()
+	c := &compiler{db: db}
+	// fold folds the WHERE of a query over events, whose one conjunct is
+	// expr, and returns the folded conjunct and the unchanged WHERE.
+	fold := func(expr string) (got, where *dt.Node) {
+		where = sqlparser.MustParse(`SELECT n FROM events WHERE ` + expr).Children[2].Children[0]
+		return c.foldCalls(where).Children[0], where
+	}
+	for _, tc := range []struct {
+		expr string
+		kind dt.Kind
+		lit  string
+	}{
+		{`date(today(), '-30 days')`, dt.KindString, "2020-12-01"},
+		{`lower(upper('Ops'))`, dt.KindString, "ops"},
+		{`lower(1)`, dt.KindString, "1"},
+		{`abs(-3)`, dt.KindNumber, "3"},
+		{`round(2.5)`, dt.KindNumber, "3"},
+		{`abs(-0)`, dt.KindNumber, "-0"},
+		{`abs(-0.1)`, dt.KindNumber, "0.1"},
+	} {
+		got, where := fold(tc.expr)
+		if got.Kind != tc.kind || got.Label != tc.lit || len(got.Children) != 0 {
+			t.Errorf("%s folded to %v %q, want %v %q", tc.expr, got.Kind, got.Label, tc.kind, tc.lit)
+		}
+		if w := sqlparser.ToSQL(where); !strings.Contains(w, tc.expr) {
+			t.Errorf("%s: the fold rewrote the query's own WHERE: %s", tc.expr, w)
+		}
+	}
+	for _, expr := range []string{
+		`date('bad', '-1 days')`,        // errors
+		`date(today(), '3 fortnights')`, // errors after its argument folds
+		`abs('x')`,                      // NULL
+		`abs()`,                         // arity error
+		`abs(n)`,                        // reads a column
+		`nosuch(1)`,                     // unknown function
+	} {
+		if got, _ := fold(expr); got.Kind != dt.KindFunc {
+			t.Errorf("%s folded to %v %q, want it to stay a call", expr, got.Kind, got.Label)
+		}
+	}
+
+	for _, tc := range []struct{ sql, err string }{
+		{`SELECT n FROM events WHERE n >= 0 AND day > date('bad', '-1 days')`, `engine: bad date "bad"`},
+		{`SELECT n FROM events WHERE n >= 0 AND day > date(today(), '3 fortnights')`, `engine: bad date unit "fortnights"`},
+		// FALSE before the error: the call never runs.
+		{`SELECT n FROM events WHERE n > 100 AND day > date('bad', '-1 days')`, ""},
+		{`SELECT n FROM events WHERE n = abs('x')`, ""},
+	} {
+		checkExecEquivalence(t, db, tc.sql)
+		_, err := planExec(t, db, tc.sql, Prepare)
+		if got := fmt.Sprint(err); (tc.err == "" && err != nil) || (tc.err != "" && got != tc.err) {
+			t.Errorf("%s: err = %v, want %q", tc.sql, err, tc.err)
+		}
+	}
+
+	// An ON whose only impure conjunct was the date() call now hashes.
+	on := `SELECT e.id FROM emp e JOIN events v ON e.id = v.n AND v.day > date(today(), '-20 days')`
+	checkExecEquivalence(t, db, on)
+	if ex := planFor(t, db, on, Prepare).Explain(); !strings.Contains(ex, "join inner v: hash build=v") {
+		t.Errorf("%s: want a hash join, got\n%s", on, ex)
+	}
+
+	sel := `SELECT date(today(), '-1 days'), lower('X'), abs(-3) FROM events`
+	checkExecEquivalence(t, db, sel)
+	if got, want := planFor(t, db, sel, Prepare).Cols(), []string{"date", "lower", "abs"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("select-item names = %v, want %v", got, want)
 	}
 }

@@ -172,7 +172,7 @@ func (t *Table) String() string {
 // table names changes. See live.go for the append path.
 type DB struct {
 	Tables map[string]*Table
-	Now    string // ISO date used by today()
+	Now    string // ISO date used by today(); fixed for the DB's lifetime, so Prepare folds today()
 
 	// gen counts all mutations (Add and Append). Coarse consumers (the
 	// mapping layer's per-search exec cache) key on it; fine-grained

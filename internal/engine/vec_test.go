@@ -310,3 +310,54 @@ func TestVecProfileAndExplain(t *testing.T) {
 }
 
 var _ = dt.Node{} // keep the import pinned for planFor's signature
+
+// TestLeanColumnImages checks that buildTableCols allocates a column's
+// numeric and string arrays only when the column holds a cell of that kind,
+// and that all-NULL and mixed columns give the interpreter's results through
+// the columnar path.
+func TestLeanColumnImages(t *testing.T) {
+	lean := &Table{
+		Name:  "lean",
+		Cols:  []string{"n", "s", "z", "m"},
+		Types: []ColType{TNum, TStr, TNum, TStr},
+		Rows: [][]Value{
+			{NumVal(1), StrVal("a"), NullVal(), NumVal(2)},
+			{NullVal(), StrVal("b"), NullVal(), StrVal("b")},
+			{NumVal(3), NullVal(), NullVal(), NullVal()},
+			{NumVal(1), StrVal("a"), NullVal(), StrVal("2")},
+			{NumVal(2), StrVal("c"), NullVal(), NumVal(1)},
+		},
+	}
+	tc := buildTableCols(lean)
+	for ci, want := range []struct{ nums, strs bool }{{true, false}, {false, true}, {false, false}, {true, true}} {
+		cd := &tc.cols[ci]
+		if (cd.nums != nil) != want.nums || (cd.strs != nil) != want.strs {
+			t.Errorf("column %s: nums allocated %v, strs allocated %v; want %v, %v",
+				lean.Cols[ci], cd.nums != nil, cd.strs != nil, want.nums, want.strs)
+		}
+	}
+
+	db := NewDB("2020-12-31")
+	db.Add(lean)
+	for _, sql := range []string{
+		`SELECT n, z FROM lean WHERE z = 1`,
+		`SELECT n, z FROM lean WHERE z < 'b'`,
+		`SELECT n FROM lean WHERE z BETWEEN 1 AND 3`,
+		`SELECT n FROM lean WHERE z IN (1, 'a')`,
+		`SELECT n FROM lean WHERE z LIKE 'a%'`,
+		`SELECT n FROM lean WHERE z = n`,
+		`SELECT m FROM lean WHERE m > 1`,
+		`SELECT m FROM lean WHERE m >= 'a'`,
+		`SELECT m FROM lean WHERE m BETWEEN 'a' AND 'z'`,
+		`SELECT s, m FROM lean WHERE m = s ORDER BY m`,
+		`SELECT z, count(*), sum(z), avg(z), min(z), max(z) FROM lean GROUP BY z`,
+		`SELECT m, count(*), min(m), max(m) FROM lean GROUP BY m ORDER BY m`,
+		`SELECT sum(z), min(m), max(s) FROM lean`,
+		`SELECT DISTINCT z, m FROM lean`,
+		`SELECT a.n, b.n FROM lean AS a, lean AS b WHERE a.z = b.z`,
+		`SELECT a.n, b.s FROM lean AS a, lean AS b WHERE a.n = b.z`,
+	} {
+		vecPlanFor(t, db, sql, true)
+		checkExecEquivalence(t, db, sql)
+	}
+}
