@@ -281,3 +281,41 @@ func BenchmarkEngineCovidDateWindow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineAppendThenRead times the live Covid dashboard's write/read
+// cycle over a 50-state × 730-day table: each op appends one 4-row batch
+// (the next day for four states, CA among them), then prepares and executes
+// the CA read against the new snapshot, so it pays whatever the write costs
+// the first read's statistics, hash index and column image.
+func BenchmarkEngineAppendThenRead(b *testing.B) {
+	db := covidDB(730)
+	ast, err := sqlparser.Parse(`SELECT date, cases FROM covid WHERE state = 'CA'`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(2021))
+	day := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		date := StrVal(day.AddDate(0, 0, i).Format("2006-01-02"))
+		batch := make([][]Value, 0, 4)
+		for _, st := range []string{"WA", "CA", "NY", "S03"} {
+			batch = append(batch, []Value{StrVal(st), date, NumVal(float64(r.Intn(10000))), NumVal(float64(r.Intn(200)))})
+		}
+		if err := db.Append("covid", batch); err != nil {
+			b.Fatal(err)
+		}
+		plan, err := Prepare(db, ast)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t, err := plan.Exec()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(t.Rows) != 731+i {
+			b.Fatalf("got %d rows, want %d", len(t.Rows), 731+i)
+		}
+	}
+}
