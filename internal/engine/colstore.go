@@ -8,10 +8,11 @@ import (
 // Columnar storage: the per-table column arrays behind the vectorized
 // execution path (vec.go / vecexec.go). Like the hash and sorted indexes
 // (index.go), column arrays are built lazily on first use and cached on the
-// DB's snapshot-keyed access cache — a write (Add/Append) publishes a new
-// table snapshot and prunes only that table's entry, so a live Plan can
-// never observe stale column data for the same reason it can never observe
-// a stale table pointer, and a write to one table leaves every other
+// DB's snapshot-keyed access cache. A write publishes a new table snapshot:
+// an Add drops that table's entry, and an Append hands it to the new
+// snapshot, whose first use grows the image by the appended rows. A live
+// Plan can never observe stale column data for the same reason it can never
+// observe a stale table pointer, and a write to one table leaves every other
 // table's columnar image warm.
 //
 // Layout: one colData per column, holding parallel num/str slices (each
@@ -86,16 +87,37 @@ type tableCols struct {
 
 // buildTableCols converts a table to columnar form in one pass.
 func buildTableCols(t *Table) *tableCols {
+	tc := &tableCols{ok: true, cols: make([]colData, len(t.Cols))}
+	for ci := range tc.cols {
+		tc.cols[ci].allInt = true
+	}
+	return extendTableCols(tc, t)
+}
+
+// extendTableCols returns the image of t, whose rows extend the ones old
+// images: it grows old by the suffix and continues every fold over it, so
+// the result equals buildTableCols(t). old stays valid for its readers: the
+// suffix lands past the end of the num/str arrays they read, and a bitmap
+// whose last word is partly used is copied rather than written in place.
+// Only the slot that owns old may extend it (see tableAccess.adopt), since
+// the suffix can land in old's spare capacity.
+func extendTableCols(old *tableCols, t *Table) *tableCols {
 	n := len(t.Rows)
-	tc := &tableCols{ok: true, rows: n, cols: make([]colData, len(t.Cols))}
+	tc := &tableCols{ok: old.ok, rows: n, cols: append([]colData(nil), old.cols...)}
 	words := (n + 63) / 64
 	for ci := range tc.cols {
 		cd := &tc.cols[ci]
-		cd.null = make([]uint64, words)
-		cd.isStr = make([]uint64, words)
-		cd.allInt = true
+		cd.null = growBitmap(cd.null, old.rows, words)
+		cd.isStr = growBitmap(cd.isStr, old.rows, words)
+		if cd.nums != nil {
+			cd.nums = append(cd.nums, make([]float64, n-old.rows)...)
+		}
+		if cd.strs != nil {
+			cd.strs = append(cd.strs, make([]string, n-old.rows)...)
+		}
 	}
-	for ri, row := range t.Rows {
+	for ri := old.rows; ri < n; ri++ {
+		row := t.Rows[ri]
 		if len(row) < len(t.Cols) {
 			tc.ok = false // ragged: direct row access would panic; stay row-path
 		}
@@ -158,17 +180,37 @@ func buildTableCols(t *Table) *tableCols {
 	return tc
 }
 
-// columnsFor returns the table's columnar image, building it on first use.
+// growBitmap widens bm, a bitmap over rows bits, to words words. When bm's
+// last word is full the new bits land in new words past bm's end; a partly
+// used last word would have to change under bm's readers, so then the
+// bitmap is copied to fresh storage.
+func growBitmap(bm []uint64, rows, words int) []uint64 {
+	if rows%64 == 0 {
+		return append(bm, make([]uint64, words-len(bm))...)
+	}
+	out := make([]uint64, words)
+	copy(out, bm)
+	return out
+}
+
+// columnsFor returns the table's columnar image, building it on first use,
+// or extending the image an Append handed over from the snapshot t extends.
 // Cached on the snapshot-keyed access cache next to stats and indexes.
 func (db *DB) columnsFor(t *Table) *tableCols {
 	ta := db.access(t)
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
-	if ta.cols == nil {
+	ta.adopt()
+	switch {
+	case ta.cols == nil:
 		t0 := time.Now()
 		ta.cols = buildTableCols(t)
 		db.colBuilds.Add(uint64(len(t.Cols)))
 		db.observeBuild("columnar", time.Since(t0))
+	case ta.cols.rows < len(t.Rows):
+		t0 := time.Now()
+		ta.cols = extendTableCols(ta.cols, t)
+		db.observeBuild("columnar-extend", time.Since(t0))
 	}
 	return ta.cols
 }

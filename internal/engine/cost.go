@@ -160,8 +160,10 @@ func (c *compiler) indexCandidate(pq *planQuery, fi int, e *dt.Node) (scanAccess
 // accessEstimate judges a candidate against the table's statistics. eligible
 // reports whether the index agrees with the sweep semantics at all — false
 // is binding even under forced-index mode. est is the predicted surviving
-// row count under the usual uniformity assumptions.
-func accessEstimate(st *TableStats, a scanAccess) (est int, eligible bool) {
+// row count under the usual uniformity assumptions. ndv returns a column's
+// number of distinct non-null values under `=`; only an eligible equality
+// candidate reads it.
+func accessEstimate(st *TableStats, a scanAccess, ndv func(col int) int) (est int, eligible bool) {
 	if a.col >= len(st.Cols) {
 		return 0, false
 	}
@@ -177,10 +179,11 @@ func accessEstimate(st *TableStats, a scanAccess) (est int, eligible bool) {
 		if (cs.negZero && a.eqKey.IsStr) || (!a.eqKey.IsStr && isNegZero(a.eqKey.Num) && cs.Strs > 0) {
 			return 0, false // -0 meets a string: see hashIndex.rowsFor
 		}
-		if cs.NDV == 0 {
+		d := ndv(a.col)
+		if d == 0 {
 			return 0, true
 		}
-		est = nonNull / cs.NDV
+		est = nonNull / d
 		if est < 1 {
 			est = 1
 		}
@@ -247,10 +250,17 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 		if len(list) == 0 {
 			continue
 		}
-		st := c.db.tableStats(pq.sources[i].table)
+		t := pq.sources[i].table
+		st := c.db.tableStats(t)
+		if !c.force && st.Rows < minIndexRows {
+			continue
+		}
+		// The distinct count is the bucket count of the column's hash index,
+		// the index an equality candidate would probe.
+		ndv := func(col int) int { return c.db.hashIndexFor(t, col).size() }
 		best, bestEst := -1, 0
 		for k := range list {
-			est, ok := accessEstimate(st, list[k])
+			est, ok := accessEstimate(st, list[k], ndv)
 			if !ok {
 				continue
 			}
@@ -261,7 +271,7 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 		if best < 0 {
 			continue
 		}
-		if !c.force && (st.Rows < minIndexRows || bestEst*indexAdvantage > st.Rows) {
+		if !c.force && bestEst*indexAdvantage > st.Rows {
 			continue
 		}
 		a := list[best]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,10 +25,12 @@ import (
 // identical tables — same columns, same types, same rows in the same
 // order — or fail with the same error.
 //
-// Each seed is checked twice: once against the freshly-loaded database and
-// once after a seed-derived batch of DB.Append calls, so the equivalence
+// Each seed is checked against the freshly-loaded database and again after
+// each of a seed-derived series of DB.Append batches, so the equivalence
 // contract is pinned before and after writes — the five paths must agree on
-// the appended rows exactly as they agree on the loaded ones.
+// the appended rows exactly as they agree on the loaded ones, whether the
+// access structures were extended from a snapshot the paths had read or from
+// a chain of snapshots nobody read.
 //
 // The generator derives everything from one seed, so every corpus entry is
 // reproducible; `go test -run Fuzz` replays the seed corpus in CI.
@@ -42,14 +45,20 @@ func FuzzExecEquivalence(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		sql := genQuery(r)
 		checkExecEquivalence(t, db, sql)
-		genAppends(t, db, r)
-		checkExecEquivalence(t, db, sql)
+		genAppends(t, db, r, func() { checkExecEquivalence(t, db, sql) })
 	})
 }
 
-// genAppends applies 1-3 random append batches to the generator tables. All
-// randomness flows from r, so a seed fully determines the writes.
-func genAppends(t *testing.T, db *DB, r *rand.Rand) {
+// genOddCells are cells a batch to T may carry in place of a generated
+// one: the first string of an all-numeric column (numeric-looking or not),
+// NaN, -0, NULL, and a key new to every column of T.
+var genOddCells = []Value{StrVal("1"), StrVal("x"), NumVal(math.NaN()), NumVal(math.Copysign(0, -1)), NullVal(), NumVal(7)}
+
+// genAppends applies 1-3 random append batches to the generator tables and
+// calls check after each. A batch to T is sometimes written as one Append
+// per row, so the rows between checks form a chain of snapshots nobody
+// read. All randomness flows from r, so a seed fully determines the writes.
+func genAppends(t *testing.T, db *DB, r *rand.Rand, check func()) {
 	t.Helper()
 	depts := []string{"eng", "ops", "hr"}
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
@@ -62,8 +71,19 @@ func genAppends(t *testing.T, db *DB, r *rand.Rand) {
 				if r.Intn(6) == 0 {
 					rows[j][1] = NullVal()
 				}
+				if r.Intn(3) == 0 {
+					rows[j][r.Intn(3)] = genOddCells[r.Intn(len(genOddCells))]
+				}
 			}
-			err = db.Append("T", rows)
+			if r.Intn(2) == 0 {
+				err = db.Append("T", rows)
+				break
+			}
+			for _, row := range rows {
+				if err = db.Append("T", [][]Value{row}); err != nil {
+					break
+				}
+			}
 		case 1:
 			err = db.Append("emp", [][]Value{
 				{NumVal(float64(5 + r.Intn(20))), StrVal(depts[r.Intn(len(depts))]), NumVal(float64(60 + r.Intn(80)))},
@@ -78,6 +98,7 @@ func genAppends(t *testing.T, db *DB, r *rand.Rand) {
 		if err != nil {
 			t.Fatalf("append: %v", err)
 		}
+		check()
 	}
 }
 
@@ -451,8 +472,9 @@ func TestExecEquivalenceSeeds(t *testing.T) {
 }
 
 // TestExecEquivalenceAfterAppend replays a deterministic seed range through
-// the before/after-write variant of the fuzz body, so plain `go test` also
-// covers live-append equivalence without the fuzz engine.
+// the fuzz body — a check before the writes and after each append batch —
+// so plain `go test` also covers live-append equivalence without the fuzz
+// engine.
 func TestExecEquivalenceAfterAppend(t *testing.T) {
 	n := int64(600)
 	if testing.Short() {
@@ -463,7 +485,6 @@ func TestExecEquivalenceAfterAppend(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		sql := genQuery(r)
 		checkExecEquivalence(t, db, sql)
-		genAppends(t, db, r)
-		checkExecEquivalence(t, db, sql)
+		genAppends(t, db, r, func() { checkExecEquivalence(t, db, sql) })
 	}
 }

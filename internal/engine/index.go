@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -11,12 +12,15 @@ import (
 
 // Per-column access structures, built lazily on first use and cached on the
 // DB keyed by table snapshot pointer. Snapshots are immutable (Add/Append
-// publish a new *Table), so an entry can never go stale; when a write
-// replaces a table's snapshot, only that table's entry is pruned — every
-// other table's stats, indexes, and columnar image stay warm. A live Plan
-// can never observe a wrong index for the same reason it can never observe
-// a wrong table pointer — Exec refuses to run once a referenced table's
-// generation moves (Plan.Stale).
+// publish a new *Table), so an entry can never go stale. A write touches only
+// the written table's entry — every other table's stats, indexes, and
+// columnar image stay warm. An Add drops the entry. An Append hands it to the
+// new snapshot (tableAccess.parent), whose first use extends the column image,
+// statistics and hash indexes by the appended rows instead of rebuilding them;
+// the sorted indexes are dropped and rebuild on demand. A live Plan can never
+// observe a wrong index for the same reason it can never observe a wrong
+// table pointer — Exec refuses to run once a referenced table's generation
+// moves (Plan.Stale).
 //
 // Two index kinds, both keyed to agree exactly with the sweep path:
 //
@@ -36,15 +40,48 @@ type accessCache struct {
 	tables map[*Table]*tableAccess
 }
 
+// take removes and returns t's slot, if it has one. A nil cache has none.
+func (ac *accessCache) take(t *Table) *tableAccess {
+	if ac == nil {
+		return nil
+	}
+	ta := ac.tables[t]
+	delete(ac.tables, t)
+	return ta
+}
+
 // tableAccess holds one table's lazily-built statistics and indexes. Its
 // mutex serializes builds; lookups after the first build are read-only on
 // immutable structures.
 type tableAccess struct {
 	mu     sync.Mutex
+	parent *tableAccess // the replaced snapshot's slot, set by Append; cleared by adopt
 	stats  *TableStats
 	hash   map[int]*hashIndex
 	sorted map[int]*sortedIndex
 	cols   *tableCols // columnar image (colstore.go); hash indexes build from it
+}
+
+// adopt moves into ta, on its first use, the structures of the slot chain an
+// Append handed it (appends nobody read in between leave a chain of empty
+// slots). The structures then cover a prefix of ta's snapshot, and each
+// accessor extends its own by the rest. Moving rather than sharing leaves
+// every structure owned by one slot, so it is extended at most once; a
+// goroutine still holding an ancestor slot finds it empty and builds afresh.
+// Locks run from the newer slot to the older, never back. ta.mu is held.
+func (ta *tableAccess) adopt() {
+	for p := ta.parent; p != nil; {
+		p.mu.Lock()
+		next := p.parent
+		p.parent = nil
+		if next == nil {
+			ta.cols, ta.stats, ta.hash = p.cols, p.stats, p.hash
+			p.cols, p.stats, p.hash, p.sorted = nil, nil, nil, nil
+		}
+		p.mu.Unlock()
+		p = next
+	}
+	ta.parent = nil
 }
 
 // access returns the table snapshot's access slot. Slots are cached only
@@ -67,16 +104,24 @@ func (db *DB) access(t *Table) *tableAccess {
 	return ta
 }
 
-// tableStats returns the table's statistics, computing them on first use.
+// tableStats returns the table's statistics, computing them on first use or
+// extending the ones an Append handed over.
 func (db *DB) tableStats(t *Table) *TableStats {
+	tc := db.columnsFor(t)
 	ta := db.access(t)
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
-	if ta.stats == nil {
+	ta.adopt()
+	switch {
+	case ta.stats == nil:
 		t0 := time.Now()
-		ta.stats = computeStats(t)
+		ta.stats = extendStats(nil, t, tc)
 		db.statBuilds.Add(1)
 		db.observeBuild("stats", time.Since(t0))
+	case ta.stats.Rows < tc.rows:
+		t0 := time.Now()
+		ta.stats = extendStats(ta.stats, t, tc)
+		db.observeBuild("stats-extend", time.Since(t0))
 	}
 	return ta.stats
 }
@@ -84,9 +129,11 @@ func (db *DB) tableStats(t *Table) *TableStats {
 // hashIndex is one column's hash index (see the file comment). num selects
 // the keying: joinKeyBits in tab, else `=` text in idx. Either maps a key to
 // its bucket number b, whose rows are rows[off[b]:off[b+1]], so the buckets
-// cost two allocations however many keys the column has.
+// cost two allocations however many keys the column has. Buckets are
+// numbered in order of their key's first row.
 type hashIndex struct {
 	num  bool
+	n    int // the rows indexed: a column index covers rows [0, n)
 	tab  u64table
 	idx  map[string]int32
 	off  []int32
@@ -103,27 +150,43 @@ func (h *hashIndex) bucket(b int32) []int {
 func (h *hashIndex) size() int { return len(h.off) - 1 }
 
 // hashIndexFor returns the table's hash index on column col, building it on
-// first use. Its buckets are exactly buildHashSide's over the table's full
-// row list with the bare column as the only key, which is what lets a join
-// build side borrow it bit-for-bit.
+// first use or extending the one an Append handed over. Its buckets are
+// exactly buildHashSide's over the table's full row list with the bare
+// column as the only key, which is what lets a join build side borrow it
+// bit-for-bit.
 func (db *DB) hashIndexFor(t *Table, col int) *hashIndex {
 	tc := db.columnsFor(t)
 	ta := db.access(t)
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
-	if h, ok := ta.hash[col]; ok {
+	ta.adopt()
+	cd := &tc.cols[col]
+	h := ta.hash[col]
+	switch {
+	case h != nil && h.n == tc.rows:
 		return h
+	case h != nil && h.num == keyByBits(cd):
+		t0 := time.Now()
+		h = h.extend(cd, tc.rows)
+		db.observeBuild("hash-extend", time.Since(t0))
+	default:
+		// Unbuilt, or the appended rows brought the column's first string
+		// or NaN, which changes the keying of every bucket.
+		t0 := time.Now()
+		h = buildHashIndex(cd, nil, tc.rows)
+		db.idxBuilds.Add(1)
+		db.observeBuild("hash", time.Since(t0))
 	}
-	t0 := time.Now()
-	h := buildHashIndex(&tc.cols[col], nil, tc.rows)
 	if ta.hash == nil {
 		ta.hash = map[int]*hashIndex{}
 	}
 	ta.hash[col] = h
-	db.idxBuilds.Add(1)
-	db.observeBuild("hash", time.Since(t0))
 	return h
 }
+
+// keyByBits reports whether a hash index over cd keys by joinKeyBits: the
+// column is all-numeric and NaN-free.
+func keyByBits(cd *colData) bool { return cd.allNum() && !cd.hasNaN }
 
 // buildHashIndex indexes column cd over the rows in sel, or over all n rows
 // when sel is nil (the vectorized join's filtered build side passes its
@@ -134,7 +197,7 @@ func buildHashIndex(cd *colData, sel []int32, n int) *hashIndex {
 	if sel != nil {
 		n = len(sel)
 	}
-	h := &hashIndex{num: cd.allNum() && !cd.hasNaN}
+	h := &hashIndex{num: keyByBits(cd), n: n}
 	if h.num {
 		h.tab = newU64Table(n)
 	} else {
@@ -150,53 +213,120 @@ func buildHashIndex(cd *colData, sel []int32, n int) *hashIndex {
 	// lays the buckets out back to back, rows ascending within each.
 	ids := make([]int32, n)
 	var counts []int32
-	var tmp [32]byte
 	for k := range ids {
-		ri := row(k)
-		if cd.isNull(ri) {
-			ids[k] = -1 // NULL never matches under `=`
-			continue
-		}
-		var bi int32
-		var ok bool
+		ids[k] = h.key(cd, row(k), &counts)
+	}
+	h.layout(nil, counts, ids, row)
+	return h
+}
+
+// key returns the bucket of row ri's cell, or -1 for NULL (never matched
+// under `=`). A key not yet in h gets the next bucket number, len(*counts),
+// and every non-NULL cell counts one row into its bucket's entry of counts.
+// The caller owns h's key table.
+func (h *hashIndex) key(cd *colData, ri int, counts *[]int32) int32 {
+	if cd.isNull(ri) {
+		return -1
+	}
+	bi := h.find(cd, ri)
+	if bi < 0 {
+		bi = int32(len(*counts))
+		*counts = append(*counts, 0)
 		switch {
 		case h.num:
-			slot := h.tab.insert(joinKeyBits(cd.nums[ri]))
-			if bi, ok = *slot, *slot >= 0; !ok {
-				bi = int32(len(counts))
-				*slot = bi
-			}
+			*h.tab.insert(joinKeyBits(cd.nums[ri])) = bi
 		case cd.isString(ri):
-			if bi, ok = h.idx[cd.strs[ri]]; !ok {
-				bi = int32(len(counts))
-				h.idx[cd.strs[ri]] = bi
-			}
+			h.idx[cd.strs[ri]] = bi
 		default:
-			kb := appendNumKey(tmp[:0], cd.nums[ri])
-			if bi, ok = h.idx[string(kb)]; !ok {
-				bi = int32(len(counts))
-				h.idx[string(kb)] = bi
-			}
+			var tmp [32]byte
+			h.idx[string(appendNumKey(tmp[:0], cd.nums[ri]))] = bi
 		}
-		if !ok {
-			counts = append(counts, 0)
-		}
-		ids[k] = bi
-		counts[bi]++
 	}
+	(*counts)[bi]++
+	return bi
+}
+
+// find returns the bucket of row ri's non-NULL cell, or -1 if h has no
+// bucket for its key.
+func (h *hashIndex) find(cd *colData, ri int) int32 {
+	switch {
+	case h.num:
+		return h.tab.find(joinKeyBits(cd.nums[ri]))
+	case cd.isString(ri):
+		if bi, ok := h.idx[cd.strs[ri]]; ok {
+			return bi
+		}
+	default:
+		var tmp [32]byte
+		if bi, ok := h.idx[string(appendNumKey(tmp[:0], cd.nums[ri]))]; ok {
+			return bi
+		}
+	}
+	return -1
+}
+
+// layout fills h.off and h.rows: bucket b holds old's rows of b (none when
+// old is nil), then row(k) for every k with ids[k] == b, in k order. counts
+// holds the latter per bucket and is clobbered.
+func (h *hashIndex) layout(old *hashIndex, counts []int32, ids []int32, row func(int) int) {
 	h.off = make([]int32, len(counts)+1)
 	for b, c := range counts {
+		if old != nil && b < old.size() {
+			c += old.off[b+1] - old.off[b]
+		}
 		h.off[b+1] = h.off[b] + c
 	}
 	h.rows = make([]int, h.off[len(counts)])
 	next := append(counts[:0], h.off[:len(counts)]...)
+	if old != nil {
+		for b := 0; b < old.size(); b++ {
+			next[b] += int32(copy(h.rows[next[b]:], old.bucket(int32(b))))
+		}
+	}
 	for k, bi := range ids {
 		if bi >= 0 {
 			h.rows[next[bi]] = row(k)
 			next[bi]++
 		}
 	}
-	return h
+}
+
+// extend returns h grown to rows [0, n) of column cd, which must still key
+// the way h does: existing buckets keep their numbers and gain the new rows
+// after their old ones, and new keys get the next numbers in order of first
+// row, so the result equals buildHashIndex(cd, nil, n). h is not changed:
+// its key table is copied before the first new key goes in.
+func (h *hashIndex) extend(cd *colData, n int) *hashIndex {
+	nh := &hashIndex{num: h.num, n: n, tab: h.tab, idx: h.idx}
+	counts := make([]int32, h.size())
+	ids := make([]int32, n-h.n)
+	shared := true
+	for k := range ids {
+		ri := h.n + k
+		if shared && !cd.isNull(ri) && h.find(cd, ri) < 0 {
+			nh.copyKeys(n)
+			shared = false
+		}
+		ids[k] = nh.key(cd, ri, &counts)
+	}
+	nh.layout(h, counts, ids, func(k int) int { return h.n + k })
+	return nh
+}
+
+// copyKeys gives h a private copy of its key table, sized as a build over n
+// rows would size it.
+func (h *hashIndex) copyKeys(n int) {
+	if !h.num {
+		h.idx = maps.Clone(h.idx)
+		return
+	}
+	old := h.tab
+	h.tab = newU64Table(n)
+	for i, v := range old.vals {
+		if v >= 0 {
+			*h.tab.insert(old.keys[i]) = v
+		}
+	}
 }
 
 // rowsFor returns the rows whose cell equals v under `=`, ascending; v must
@@ -368,8 +498,11 @@ func (db *DB) IndexCounters() IndexCounters {
 }
 
 // OnIndexBuild registers fn to observe every index/statistics build with its
-// kind ("hash", "sorted", "stats") and wall time. Register before serving
-// begins; fn runs synchronously on the building goroutine.
+// kind ("hash", "sorted", "stats", "columnar") and wall time, and every
+// extension of an appended table's structures ("hash-extend",
+// "stats-extend", "columnar-extend"), which the build counters do not count.
+// Register before serving begins; fn runs synchronously on the building
+// goroutine.
 func (db *DB) OnIndexBuild(fn func(kind string, d time.Duration)) {
 	db.mu.Lock()
 	db.buildHook = fn

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	dt "pi2/internal/difftree"
 	"pi2/internal/sqlparser"
@@ -171,17 +173,35 @@ func TestIndexInvalidationOnAdd(t *testing.T) {
 		t.Fatal("stale plan executed after Append to its table")
 	}
 
-	// A fresh plan over the new snapshot rebuilds the index from scratch.
+	// A fresh plan over the new snapshot extends the index and the stats by
+	// the appended row instead of rebuilding them, and sees the row.
+	kinds := map[string]int{}
+	db.OnIndexBuild(func(kind string, _ time.Duration) { kinds[kind]++ })
 	plan2 := planFor(t, db, "SELECT v FROM big WHERE k = 7", Prepare)
-	if _, err := plan2.Exec(); err != nil {
+	res, err := plan2.Exec()
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := db.IndexCounters()
-	if after.Builds <= before.Builds {
-		t.Fatalf("index not rebuilt after Append: before %+v, after %+v", before, after)
+	if n := len(res.Rows); n != 11 || res.Rows[n-1][0].Num != 500 {
+		t.Fatalf("rows after Append = %v, want the ten old ones then v=500", res.Rows)
 	}
-	if after.StatsBuilds <= before.StatsBuilds {
-		t.Fatalf("stats not recomputed after Append: before %+v, after %+v", before, after)
+	after := db.IndexCounters()
+	if after.Builds != before.Builds || after.StatsBuilds != before.StatsBuilds {
+		t.Fatalf("Append rebuilt index or stats: before %+v, after %+v", before, after)
+	}
+	want := map[string]int{"columnar-extend": 1, "stats-extend": 1, "hash-extend": 1}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("extensions after Append = %v, want %v", kinds, want)
+	}
+
+	// Add replaces the snapshot wholesale: everything rebuilds.
+	db.Add(&Table{Name: "big", Cols: []string{"k", "v", "s"}, Types: []ColType{TNum, TNum, TStr},
+		Rows: [][]Value{{NumVal(7), NumVal(1), StrVal("a")}}})
+	if _, err := planFor(t, db, "SELECT v FROM big WHERE k = 7", prepareForceIndex).Exec(); err != nil {
+		t.Fatal(err)
+	}
+	if c := db.IndexCounters(); c.Builds != after.Builds+1 || c.StatsBuilds != after.StatsBuilds+1 {
+		t.Fatalf("Add did not rebuild index and stats: before %+v, after %+v", after, c)
 	}
 }
 

@@ -44,7 +44,7 @@ func (db *DB) Append(table string, rows [][]Value) error {
 	}
 	nt := &Table{Name: old.Name, Cols: old.Cols, Types: old.Types, Rows: append(old.Rows, rows...)}
 	db.Tables[key] = nt
-	db.bumpLocked(key, old)
+	db.bumpLocked(key, old, true)
 	db.appends.Add(1)
 	db.appendRows.Add(uint64(len(rows)))
 	return nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -174,8 +175,9 @@ func TestReplacedSnapshotRowsCollectable(t *testing.T) {
 
 // TestEvictionPrecision pins the tentpole contract at the engine layer: a
 // write to one table leaves every other table's stats, hash/sorted indexes,
-// and columnar image warm (build counters unchanged), and only the written
-// table rebuilds.
+// and columnar image warm (build counters unchanged), and the written table
+// extends its stats, hash index and columnar image by the appended rows
+// instead of rebuilding them; only its sorted index rebuilds.
 func TestEvictionPrecision(t *testing.T) {
 	db := NewDB("2020-12-31")
 	mk := func(name string) *Table {
@@ -200,6 +202,8 @@ func TestEvictionPrecision(t *testing.T) {
 	warm("cars")
 	before := db.IndexCounters()
 	colBefore := db.ColumnarCounters()
+	kinds := map[string]int{}
+	db.OnIndexBuild(func(kind string, _ time.Duration) { kinds[kind]++ })
 
 	if err := db.Append("covid", [][]Value{{NumVal(1), NumVal(999)}}); err != nil {
 		t.Fatal(err)
@@ -213,12 +217,23 @@ func TestEvictionPrecision(t *testing.T) {
 	if c := db.ColumnarCounters(); c.ColumnBuilds != colBefore.ColumnBuilds {
 		t.Fatalf("write to covid rebuilt cars columns: before %+v, after %+v", colBefore, c)
 	}
+	if len(kinds) != 0 {
+		t.Fatalf("write to covid touched cars access paths: %v", kinds)
+	}
 
-	// covid rebuilds against the new snapshot.
+	// covid extends its stats, hash index and columns; the sorted index
+	// alone rebuilds against the new snapshot.
 	warm("covid")
 	after := db.IndexCounters()
-	if after.Builds != before.Builds+2 || after.StatsBuilds != before.StatsBuilds+1 {
-		t.Fatalf("covid did not rebuild exactly its own paths: before %+v, after %+v", before, after)
+	if after.Builds != before.Builds+1 || after.StatsBuilds != before.StatsBuilds {
+		t.Fatalf("covid did not rebuild exactly its sorted index: before %+v, after %+v", before, after)
+	}
+	if c := db.ColumnarCounters(); c.ColumnBuilds != colBefore.ColumnBuilds {
+		t.Fatalf("covid rebuilt its columns: before %+v, after %+v", colBefore, c)
+	}
+	want := map[string]int{"columnar-extend": 1, "stats-extend": 1, "hash-extend": 1, "sorted": 1}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("covid builds and extensions = %v, want %v", kinds, want)
 	}
 	if db.InvalidationCount("covid") != 1 || db.InvalidationCount("cars") != 0 {
 		t.Fatalf("invalidation counters: covid=%d cars=%d",

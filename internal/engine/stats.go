@@ -1,9 +1,12 @@
 package engine
 
 // Table statistics for the cost-based access-path chooser (cost.go). Stats
-// are computed in one pass on first use, cached on the DB's generation-gated
-// access cache (index.go), and thrown away wholesale when the DB mutates —
-// a stale estimate can never survive a DB.Add.
+// are read off the table's column image on first use and cached on the DB's
+// snapshot-keyed access cache (index.go). A stale estimate can never survive
+// a write: an Add drops the table's entry, and an Append hands it to the new
+// snapshot, whose first use extends the stats by the appended rows. The
+// number of distinct values is not kept here: the chooser reads it off the
+// column's hash index, which groups cells under the same `=` identity.
 //
 // Beyond cardinality estimation the stats carry two *correctness* signals:
 //
@@ -19,7 +22,7 @@ package engine
 //     is only a total order — and range probing only sound — when every
 //     non-null value in the column has the same type.
 
-// TableStats summarizes one base table at a DB generation.
+// TableStats summarizes one base table snapshot.
 type TableStats struct {
 	Rows int
 	Cols []ColStats
@@ -27,7 +30,6 @@ type TableStats struct {
 
 // ColStats summarizes one column.
 type ColStats struct {
-	NDV     int   // distinct non-null values under join-key identity (`=` coercion)
 	Nulls   int   // NULL cells
 	Nums    int   // non-null numeric cells
 	Strs    int   // non-null string cells
@@ -41,35 +43,30 @@ type ColStats struct {
 // what makes Compare a total order over the column.
 func (cs ColStats) Homogeneous() bool { return cs.Nums == 0 || cs.Strs == 0 }
 
-// computeStats scans the table once. Rows shorter than the schema (possible
-// in hand-built tables) count missing cells as NULL, matching how a sweep
-// would fail to read them only if referenced.
-func computeStats(t *Table) *TableStats {
-	st := &TableStats{Rows: len(t.Rows), Cols: make([]ColStats, len(t.Cols))}
-	var kb []byte
-	for ci := range t.Cols {
-		cs := &st.Cols[ci]
-		distinct := make(map[string]struct{})
-		have := false
-		for _, row := range t.Rows {
+// extendStats summarizes t, whose column image is tc. The cell counts and
+// flags come from tc; Min and Max continue base's fold (base nil: none yet)
+// over the rows base does not cover, in row order, so the result equals a
+// fold over every row. Rows shorter than the schema (possible in hand-built
+// tables) count missing cells as NULL, matching how a sweep would fail to
+// read them only if referenced.
+func extendStats(base *TableStats, t *Table, tc *tableCols) *TableStats {
+	st := &TableStats{Rows: tc.rows, Cols: make([]ColStats, len(tc.cols))}
+	from := 0
+	if base != nil {
+		from = base.Rows
+		copy(st.Cols, base.Cols)
+	}
+	for ci := range st.Cols {
+		cs, cd := &st.Cols[ci], &tc.cols[ci]
+		have := cs.Nums+cs.Strs > 0
+		cs.Nums, cs.Strs = cd.numCells, cd.strCells
+		cs.Nulls = tc.rows - cd.numCells - cd.strCells
+		cs.HasNaN, cs.negZero = cd.hasNaN, cd.negZero
+		for _, row := range t.Rows[from:tc.rows] {
 			if ci >= len(row) || row[ci].Null {
-				cs.Nulls++
 				continue
 			}
 			v := row[ci]
-			if v.IsStr {
-				cs.Strs++
-			} else {
-				cs.Nums++
-				if v.Num != v.Num {
-					cs.HasNaN = true
-				}
-				if isNegZero(v.Num) {
-					cs.negZero = true
-				}
-			}
-			kb = appendJoinKey(kb[:0], v)
-			distinct[string(kb)] = struct{}{}
 			if !have {
 				cs.Min, cs.Max, have = v, v, true
 				continue
@@ -83,7 +80,6 @@ func computeStats(t *Table) *TableStats {
 				cs.Max = v
 			}
 		}
-		cs.NDV = len(distinct)
 	}
 	return st
 }

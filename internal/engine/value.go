@@ -197,9 +197,9 @@ type DB struct {
 	appendRows atomic.Uint64
 
 	// Access-path state (index.go): lazily-built per-table statistics and
-	// per-column indexes, keyed by table snapshot pointer and pruned when a
-	// snapshot is replaced, plus the build/hit counters and hook behind
-	// /metrics.
+	// per-column indexes, keyed by table snapshot pointer, dropped (Add) or
+	// handed to the new snapshot (Append) when a snapshot is replaced, plus
+	// the build/hit counters and hook behind /metrics.
 	acc *accessCache
 
 	idxBuilds  atomic.Uint64
@@ -284,8 +284,11 @@ func (db *DB) initLocked() {
 // bumpLocked records a mutation of the table published under key: the
 // per-table and global generations move, and if the write replaced an
 // existing snapshot, its access-cache entry (stats, indexes, columnar image)
-// is dropped — entries for every other table stay warm.
-func (db *DB) bumpLocked(key string, old *Table) {
+// leaves the cache — entries for every other table stay warm. An Append
+// (appended) hands the entry to the new snapshot, whose rows extend the old
+// one's, in O(1): the first use extends it (tableAccess.adopt). An Add drops
+// it.
+func (db *DB) bumpLocked(key string, old *Table, appended bool) {
 	db.initLocked()
 	ctr := db.gens[key]
 	if ctr == nil {
@@ -296,8 +299,8 @@ func (db *DB) bumpLocked(key string, old *Table) {
 	db.gen.Add(1)
 	if old != nil {
 		db.inval[key]++
-		if db.acc != nil {
-			delete(db.acc.tables, old)
+		if ta := db.acc.take(old); ta != nil && appended {
+			db.acc.tables[db.Tables[key]] = &tableAccess{parent: ta}
 		}
 	}
 }
@@ -312,7 +315,7 @@ func (db *DB) Add(t *Table) {
 	defer db.mu.Unlock()
 	old := db.Tables[key]
 	db.Tables[key] = t
-	db.bumpLocked(key, old)
+	db.bumpLocked(key, old, false)
 	db.setGen.Add(1)
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	dt "pi2/internal/difftree"
 )
@@ -220,19 +221,37 @@ func TestVecGenerationInvalidation(t *testing.T) {
 	}
 
 	// Mutate the table the plan reads: the old plan must refuse to run, and
-	// a fresh plan rebuilds.
+	// a fresh plan extends the column image by the appended row.
 	if err := db.Append("v", [][]Value{{NumVal(99), NumVal(1), StrVal("zed"), NumVal(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.Exec(); err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("stale plan executed, err = %v", err)
 	}
+	extends := 0
+	db.OnIndexBuild(func(kind string, _ time.Duration) {
+		if kind == "columnar-extend" {
+			extends++
+		}
+	})
+	plan = vecPlanFor(t, db, sql, true)
+	if _, err := plan.Exec(); err != nil {
+		t.Fatal(err)
+	}
+	if c := db.ColumnarCounters(); c.ColumnBuilds != c0.ColumnBuilds || extends != 1 {
+		t.Fatalf("re-prepare after Append: column builds %d -> %d, extensions %d; want no build, one extension",
+			c0.ColumnBuilds, c.ColumnBuilds, extends)
+	}
+
+	// Add replaces the table wholesale: a fresh plan rebuilds its columns.
+	tb, _ := db.Table("v")
+	db.Add(&Table{Name: tb.Name, Cols: tb.Cols, Types: tb.Types, Rows: tb.Rows})
 	plan = vecPlanFor(t, db, sql, true)
 	if _, err := plan.Exec(); err != nil {
 		t.Fatal(err)
 	}
 	if c := db.ColumnarCounters(); c.ColumnBuilds <= c0.ColumnBuilds {
-		t.Fatalf("re-prepare after mutation did not rebuild columns: %d -> %d",
+		t.Fatalf("re-prepare after Add did not rebuild columns: %d -> %d",
 			c0.ColumnBuilds, c.ColumnBuilds)
 	}
 }

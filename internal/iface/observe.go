@@ -142,10 +142,13 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 	m.CounterFunc("pi2_engine_stats_builds_total", "Table-statistics computations.", func() float64 {
 		return float64(db.IndexCounters().StatsBuilds)
 	})
-	hists := make(map[string]*obs.Histogram, 3)
-	for _, kind := range []string{"hash", "sorted", "stats"} {
+	// An Append's first reader extends the written table's hash indexes and
+	// statistics instead of rebuilding them; extensions time under their
+	// own kinds and leave the build counters alone.
+	hists := make(map[string]*obs.Histogram, 5)
+	for _, kind := range []string{"hash", "sorted", "stats", "hash-extend", "stats-extend"} {
 		hists[kind] = m.Histogram("pi2_engine_index_build_seconds",
-			"Index and statistics build latency in seconds, by kind.", nil, "kind", kind)
+			"Index and statistics build (and extension) latency in seconds, by kind.", nil, "kind", kind)
 	}
 	db.OnIndexBuild(func(kind string, d time.Duration) {
 		if h := hists[kind]; h != nil {
