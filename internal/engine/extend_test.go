@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -86,6 +87,65 @@ func TestAccessExtensionMatchesFreshBuild(t *testing.T) {
 		}
 		checkExtension(t, db, fmt.Sprintf("seed %d end", seed))
 	}
+}
+
+// TestAccessExtensionConcurrent has readers take the stats, column image
+// and hash indexes of whatever snapshot they find — the current one or one
+// an Append has already replaced — while a writer appends, so handovers,
+// chains nobody read and extensions interleave with reads of the slots they
+// move structures out of. Under -race that pins the locking; at the end the
+// structures of the last snapshot must still equal fresh builds.
+func TestAccessExtensionConcurrent(t *testing.T) {
+	db := NewDB("2020-12-31")
+	tb := &Table{Name: "x", Cols: []string{"c0", "c1", "c2", "c3"}, Types: []ColType{TNum, TNum, TStr, TNum}}
+	for i := 0; i < 200; i++ {
+		tb.Rows = append(tb.Rows, []Value{NumVal(float64(i % 7)), NumVal(float64(i)), StrVal(fmt.Sprint("s", i%5)), NumVal(1)})
+	}
+	db.Add(tb)
+	batches := 200
+	if testing.Short() {
+		batches = 60
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var old *Table
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s, _ := db.Table("x")
+				if i%5 == 0 && old != nil {
+					s = old // a snapshot an Append may have replaced
+				}
+				old = s
+				db.tableStats(s)
+				db.hashIndexFor(s, (g+i)%len(s.Cols))
+				db.columnsFor(s)
+			}
+		}(g)
+	}
+	r := rand.New(rand.NewSource(1))
+	for b := 0; b < batches; b++ {
+		rows := make([][]Value, 1+r.Intn(5))
+		for j := range rows {
+			rows[j] = []Value{NumVal(float64(r.Intn(9))), NumVal(float64(200 + b)), StrVal(fmt.Sprint("s", r.Intn(8))), NumVal(1)}
+			if r.Intn(20) == 0 {
+				rows[j][r.Intn(4)] = extendCells[r.Intn(len(extendCells))]
+			}
+		}
+		if err := db.Append("x", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	checkExtension(t, db, "after the churn")
 }
 
 // checkExtension compares the cached structures of table x's current
