@@ -14,9 +14,9 @@
 // Serving is multi-tenant: every user gets their own session (keyed by the
 // pi2session cookie, or an explicit ?session= parameter) with independent
 // widget/binding state, managed by a registry that enforces -max-sessions
-// (LRU eviction) and -session-ttl (idle expiry). Compiled query plans are
-// binding-independent, so one shared single-flight plan cache serves every
-// session; per-binding result tables stay session-private in LRU caches.
+// (LRU eviction) and -session-ttl (idle expiry). Compiled query plans and
+// their results depend only on the resolved query and the tables it read,
+// so one shared single-flight cache serves them to every session.
 // Aggregated per-session cache counters plus registry occupancy/eviction
 // counts are exposed at /stats, and a lock-free liveness probe at /healthz.
 //

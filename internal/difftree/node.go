@@ -164,7 +164,7 @@ func (n *Node) Clone() *Node {
 
 // Equal reports structural equality (kind, label, children), ignoring IDs.
 func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
+	if a == nil || b == nil || a == b {
 		return a == b
 	}
 	if a.Kind != b.Kind || a.Label != b.Label || len(a.Children) != len(b.Children) {

@@ -45,6 +45,7 @@ type rowEnv struct {
 	frames    []frame
 	outer     *rowEnv
 	groupRows []*rowEnv
+	x         *execScratch // compiled plans only: set on an Exec's root environment
 }
 
 func (e *rowEnv) lookup(name string) (Value, bool) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	dt "pi2/internal/difftree"
@@ -131,22 +130,6 @@ func (h *hashSide) match(keys []exprFn, env *rowEnv, kb *[]byte) ([]int, error) 
 		return h.buckets[bi], nil
 	}
 	return nil, nil
-}
-
-// scanState caches the per-source scan and build work that is invariant
-// across executions of one plan: base tables cannot change under a live plan
-// (Plan.Exec refuses to run once the DB generation moves), and pushed
-// predicates and build keys are pure functions of the scanned row, so the
-// filtered row list and the hash table are computed once and shared by every
-// subsequent (possibly concurrent) Exec.
-type scanState struct {
-	scanOnce sync.Once
-	rows     [][]Value
-	scanErr  error
-
-	buildOnce sync.Once
-	hash      *hashSide
-	buildErr  error
 }
 
 // conjProps is the prepare-time classification of one WHERE conjunct.
@@ -312,7 +295,6 @@ func (c *compiler) addKey(pq *planQuery, e *dt.Node, at int) bool {
 func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Node, outer *scope) {
 	n := len(pq.sources)
 	pq.levels = make([]level, n)
-	pq.scans = make([]scanState, n)
 	for i := range pq.levels {
 		pq.levels[i].typ = entries[i].typ
 		pq.levels[i].buildCol = -1
@@ -400,10 +382,12 @@ func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Nod
 }
 
 // scanRows returns source i's rows filtered by its pushed-down predicates.
-// For base-table sources the result is computed once per plan and shared
-// across executions; derived tables re-filter per run (their rows change
-// with the outer environment).
-func (pq *planQuery) scanRows(i int, tbl *Table, cur []frame, probe *rowEnv) ([][]Value, error) {
+// Pushed predicates read only source i's row, so for a base table the result
+// does not depend on the outer row: it is computed once per Exec, in the
+// Exec's scratch, and reused when the query re-runs. Derived tables re-filter per run (their
+// rows change with the outer environment).
+func (r *fromRun) scanRows(i int, tbl *Table) ([][]Value, error) {
+	pq := r.pq
 	preds := pq.levels[i].scanPreds
 	if len(preds) == 0 {
 		return tbl.Rows, nil
@@ -411,26 +395,31 @@ func (pq *planQuery) scanRows(i int, tbl *Table, cur []frame, probe *rowEnv) ([]
 	if pq.sources[i].sub != nil {
 		// Derived tables never get an index (nothing durable to index), so
 		// the access path is always a full sweep here.
-		return filterRows(tbl.Rows, preds, i, cur, probe)
+		return filterRows(tbl.Rows, preds, i, r.cur, &r.probe)
 	}
-	st := &pq.scans[i]
-	st.scanOnce.Do(func() {
-		rows := tbl.Rows
-		if pq.levels[i].access.mode != accessFull {
-			// An index only narrows the candidate row set — a superset of
-			// the matching rows, in ascending row order — and then *every*
-			// pushed predicate, including the one the index served,
-			// re-evaluates over the candidates, so an over-approximating
-			// index can never change results.
-			idxRows := pq.indexRows(i, tbl)
-			rows = make([][]Value, len(idxRows))
-			for k, ri := range idxRows {
-				rows[k] = tbl.Rows[ri]
-			}
+	ss := &r.scratch().src[i]
+	if ss.scanned {
+		return ss.rows, nil
+	}
+	rows := tbl.Rows
+	if pq.levels[i].access.mode != accessFull {
+		// An index only narrows the candidate row set — a superset of
+		// the matching rows, in ascending row order — and then *every*
+		// pushed predicate, including the one the index served,
+		// re-evaluates over the candidates, so an over-approximating
+		// index can never change results.
+		idxRows := pq.indexRows(i, tbl)
+		rows = make([][]Value, len(idxRows))
+		for k, ri := range idxRows {
+			rows[k] = tbl.Rows[ri]
 		}
-		st.rows, st.scanErr = filterRows(rows, preds, i, cur, probe)
-	})
-	return st.rows, st.scanErr
+	}
+	rows, err := filterRows(rows, preds, i, r.cur, &r.probe)
+	if err != nil {
+		return nil, err
+	}
+	ss.rows, ss.scanned = rows, true
+	return rows, nil
 }
 
 // indexRows probes source i's chosen index and returns its candidate row
@@ -472,24 +461,30 @@ func filterRows(rows [][]Value, preds []exprFn, i int, cur []frame, probe *rowEn
 }
 
 // levelHash builds the hash table over level i's filtered rows, keyed by its
-// build expressions; cached across executions for base-table sources, where
-// a single bare-column key over the unfiltered table borrows the DB's
+// build expressions. For base-table sources it is built once per Exec, in
+// the Exec's scratch, and a single bare-column key over the unfiltered table borrows the DB's
 // column index instead (buildReusable).
-func (pq *planQuery) levelHash(i int, rows [][]Value, cur []frame, probe *rowEnv) (*hashSide, error) {
-	lv := &pq.levels[i]
+func (r *fromRun) levelHash(i int, rows [][]Value) (*hashSide, error) {
+	pq, lv := r.pq, &r.pq.levels[i]
 	if pq.sources[i].sub != nil {
-		return buildHashSide(rows, lv.build, i, cur, probe)
+		return buildHashSide(rows, lv.build, i, r.cur, &r.probe)
 	}
-	st := &pq.scans[i]
-	st.buildOnce.Do(func() {
-		if pq.buildReusable(i) {
-			st.hash = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, lv.buildCol)}
-			pq.db.idxHits.Add(1)
-			return
+	ss := &r.scratch().src[i]
+	if ss.hash != nil {
+		return ss.hash, nil
+	}
+	var h *hashSide
+	if pq.buildReusable(i) {
+		h = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, lv.buildCol)}
+		pq.db.idxHits.Add(1)
+	} else {
+		var err error
+		if h, err = buildHashSide(rows, lv.build, i, r.cur, &r.probe); err != nil {
+			return nil, err
 		}
-		st.hash, st.buildErr = buildHashSide(rows, lv.build, i, cur, probe)
-	})
-	return st.hash, st.buildErr
+	}
+	ss.hash = h
+	return h, nil
 }
 
 // buildHashSide hashes rows by keys evaluated with the row bound at frame i.
@@ -549,6 +544,7 @@ func residualPass(residual []exprFn, probe *rowEnv) (bool, error) {
 // i runs.
 type fromRun struct {
 	pq    *planQuery
+	qs    *queryScratch // the query's part of the Exec's scratch; nil until first used
 	cur   []frame
 	probe rowEnv
 	prof  *Profile
@@ -560,6 +556,14 @@ type fromRun struct {
 	joined   int           // rows reaching the residual
 	residErr error         // first residual error, held while the level's ON may still error
 	residDur time.Duration // residual evaluation time, when profiling
+}
+
+// scratch returns the query's part of the Exec's scratch.
+func (r *fromRun) scratch() *queryScratch {
+	if r.qs == nil {
+		r.qs = r.probe.outer.scratch().query(r.pq)
+	}
+	return r.qs
 }
 
 // runFrom enumerates the query's FROM/WHERE and returns the surviving row
@@ -624,13 +628,11 @@ func (r *fromRun) scan(i int, tbl *Table) ([][]Value, error) {
 	if r.prof != nil {
 		t0 = time.Now()
 	}
-	rows, err := r.pq.scanRows(i, tbl, r.cur, &r.probe)
+	rows, err := r.scanRows(i, tbl)
 	if err != nil {
 		return nil, err
 	}
 	if r.prof != nil {
-		// Base-table scans cache across executions (scanState), so a warm
-		// scan legitimately reports ~0 time.
 		r.prof.addPath("scan", r.pq.sources[i].alias, r.pq.levels[i].access.path(), len(tbl.Rows), len(rows), time.Since(t0))
 	}
 	return rows, nil
@@ -651,7 +653,7 @@ func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
 		if prof != nil {
 			t0 = time.Now()
 		}
-		if h, err = pq.levelHash(i, rows, r.cur, &r.probe); err != nil {
+		if h, err = r.levelHash(i, rows); err != nil {
 			return err
 		}
 		if prof != nil {

@@ -122,24 +122,6 @@ func TestUnknownTablePlanStalesOnAdd(t *testing.T) {
 	}
 }
 
-func TestPlanDeps(t *testing.T) {
-	db := testDB()
-	plan := planFor(t, db, "SELECT e.id FROM emp AS e, dept AS d WHERE e.dept = d.name", Prepare)
-	deps := plan.Deps()
-	if len(deps) != 2 {
-		t.Fatalf("deps = %+v, want emp and dept", deps)
-	}
-	if !db.Fresh(deps) {
-		t.Fatal("deps not fresh immediately after prepare")
-	}
-	if err := db.Append("dept", [][]Value{{StrVal("hr"), StrVal("LA")}}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Fresh(deps) {
-		t.Fatal("deps fresh after write to dept")
-	}
-}
-
 // TestReplacedSnapshotRowsCollectable: once Add replaces a table, the rows
 // appended to the old snapshot must be garbage once nothing else holds
 // them — a write path that retains every appended batch grows without bound

@@ -11,8 +11,8 @@ import (
 )
 
 // Micro-benchmarks for the engine's row and columnar paths. CI runs these
-// for one iteration under -race to exercise the per-plan scan/build caches
-// concurrently-safely.
+// for one iteration under -race as a smoke test of both paths and of the
+// per-DB index and column caches they borrow.
 
 // benchDB builds a fact table (rows rows) and a dim table (dims rows) with
 // a foreign-key-like join column and skewed value columns.
@@ -45,8 +45,8 @@ func benchPlan(b *testing.B, db *DB, sql string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Re-prepare each iteration so the per-plan scan/build caches do
-		// not amortize away the work being measured.
+		// Re-prepare each iteration: each op pays Prepare and Exec, as a
+		// served read of a new resolved query does.
 		plan, err := Prepare(db, ast)
 		if err != nil {
 			b.Fatal(err)
@@ -88,8 +88,10 @@ func BenchmarkEngineCorrelated(b *testing.B) {
 		`(SELECT max(t) FROM (SELECT sum(v) AS t FROM fact AS f WHERE f.grp = ff.grp GROUP BY f.grp, f.k) AS m)`)
 }
 
-// BenchmarkEngineJoinCached measures the serving-shaped case: one prepared
-// plan executed repeatedly, where the per-plan scan/build caches kick in.
+// BenchmarkEngineJoinCached measures re-executing one prepared plan: a plan
+// keeps no run-time state, so every Exec redoes its scans and join build
+// and only the per-DB column image and indexes stay warm. Serving does not
+// re-execute a plan while its result is kept (iface.PlanCache).
 func BenchmarkEngineJoinCached(b *testing.B) {
 	db := benchDB(2000, 200)
 	ast, err := sqlparser.Parse(benchJoinSQL)

@@ -22,8 +22,11 @@ import (
 // run once any of *those* tables has mutated (ErrStalePlan) — writes to
 // unrelated tables leave the plan valid. Plans whose query referenced an
 // unknown name additionally depend on the table-set fingerprint, so
-// registering the missing table invalidates the memoized error. Plans are
-// safe for concurrent Exec calls; table snapshots are immutable.
+// registering the missing table invalidates the memoized error. A Plan is
+// immutable after Prepare: every Exec keeps its run-time state (filtered
+// scans, selections, build sides) in a scratch of its own, so Plans are
+// safe for concurrent Exec calls and hold no memory between them; table
+// snapshots are immutable.
 type Plan struct {
 	db   *DB
 	root *planQuery
@@ -36,9 +39,8 @@ type Plan struct {
 // planDep is one resolved table dependency. ctr points at the table's live
 // generation counter so Stale can poll it without taking db.mu.
 type planDep struct {
-	name string
-	gen  uint64
-	ctr  *atomic.Uint64
+	gen uint64
+	ctr *atomic.Uint64
 }
 
 // depTracker accumulates the table dependencies of one compilation. Shared
@@ -48,13 +50,13 @@ type depTracker struct {
 	missing bool
 }
 
-func (d *depTracker) add(name string, ctr *atomic.Uint64, gen uint64) {
+func (d *depTracker) add(ctr *atomic.Uint64, gen uint64) {
 	for _, pd := range d.deps {
 		if pd.ctr == ctr {
 			return
 		}
 	}
-	d.deps = append(d.deps, planDep{name: name, gen: gen, ctr: ctr})
+	d.deps = append(d.deps, planDep{gen: gen, ctr: ctr})
 }
 
 // ErrStalePlan is returned by Exec/ExecProfiled when a table the plan reads
@@ -128,7 +130,59 @@ func (p *Plan) Exec() (*Table, error) {
 	if p.Stale() {
 		return nil, ErrStalePlan
 	}
-	return p.root.run(nil, nil)
+	return p.root.run(newExecEnv(), nil)
+}
+
+// execScratch is one Exec's run-time state. Each compiled query level keeps
+// the work over its base tables that does not depend on the outer row (its
+// filtered scans, hash build sides and vectorized selections) here, computed
+// on first use, so a subquery that re-runs once per outer row does that work
+// once per Exec. The scratch is dropped when Exec returns.
+type execScratch struct {
+	qs map[*planQuery]*queryScratch
+}
+
+// queryScratch is one query level's part of an execScratch.
+type queryScratch struct {
+	src []sourceScratch // row path, per source
+
+	sel     [][]int32 // vectorized path, per source; nil = all rows; valid once selDone
+	selDone bool
+	build   *hashIndex // vectorized path: hash over source 1's selection; nil until built
+}
+
+// sourceScratch is one base-table source's row-path work in one Exec.
+type sourceScratch struct {
+	rows    [][]Value // filtered scan rows, valid once scanned
+	scanned bool
+	hash    *hashSide // hash build side; nil until built
+}
+
+// newExecEnv returns the root environment of one execution: it binds no
+// frames, so every lookup falls through it exactly as past a nil outer, and
+// it carries the Exec's scratch.
+func newExecEnv() *rowEnv { return &rowEnv{x: &execScratch{}} }
+
+// scratch returns the execScratch of the execution e belongs to, held by
+// the root of its outer chain (newExecEnv).
+func (e *rowEnv) scratch() *execScratch {
+	for e.outer != nil {
+		e = e.outer
+	}
+	return e.x
+}
+
+// query returns pq's scratch in x, creating it on first use.
+func (x *execScratch) query(pq *planQuery) *queryScratch {
+	qs := x.qs[pq]
+	if qs == nil {
+		if x.qs == nil {
+			x.qs = map[*planQuery]*queryScratch{}
+		}
+		qs = &queryScratch{src: make([]sourceScratch, len(pq.sources))}
+		x.qs[pq] = qs
+	}
+	return qs
 }
 
 // Stale reports whether any table the plan reads has mutated since the plan
@@ -145,17 +199,6 @@ func (p *Plan) Stale() bool {
 		}
 	}
 	return false
-}
-
-// Deps returns the tables the plan reads with the generation each resolved
-// at — the dependency set result caches attach to memoized tables so a
-// write invalidates only the results that actually read the written table.
-func (p *Plan) Deps() []TableDep {
-	out := make([]TableDep, len(p.deps))
-	for i, d := range p.deps {
-		out[i] = TableDep{Name: d.name, Gen: d.gen}
-	}
-	return out
 }
 
 // Cols returns the output column names, known without executing.
@@ -203,7 +246,6 @@ type planQuery struct {
 	// down (decomposed false), or a JOIN FROM's monolithic post-join WHERE.
 	levels     []level
 	residual   []exprFn
-	scans      []scanState // per-source scan/build caches
 	hasJoin    bool
 	decomposed bool
 
@@ -221,8 +263,7 @@ type planQuery struct {
 
 	// vec is the columnar batch plan when the query falls in the
 	// vectorizable class (vec.go); nil keeps the row paths above untouched.
-	vec   *vecPlan
-	vecst *vecState
+	vec *vecPlan
 
 	cols  []string
 	types []ColType
@@ -283,7 +324,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 					}
 					t = &Table{}
 				} else if c.deps != nil {
-					c.deps.add(strings.ToLower(src.Label), ctr, gen)
+					c.deps.add(ctr, gen)
 				}
 				ps.table = t
 				ps.meta = t

@@ -86,7 +86,7 @@ func (p *Plan) ExecProfiled() (*Table, *Profile, error) {
 	}
 	prof := &Profile{}
 	t0 := time.Now()
-	t, err := p.root.run(nil, prof)
+	t, err := p.root.run(newExecEnv(), prof)
 	prof.Total = time.Since(t0)
 	if err != nil {
 		return nil, prof, err

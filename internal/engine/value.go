@@ -371,34 +371,6 @@ func (db *DB) tableRef(name string) (t *Table, ctr *atomic.Uint64, gen uint64, o
 	return t, ctr, ctr.Load(), true
 }
 
-// TableDep names one table a plan (or memoized result) depends on, with the
-// generation the dependency was resolved at. Names are lowercased.
-type TableDep struct {
-	Name string
-	Gen  uint64
-}
-
-// Fresh reports whether every dependency still matches its table's current
-// generation — the fine-grained staleness check behind result caches: a
-// write to one table leaves results over other tables fresh.
-func (db *DB) Fresh(deps []TableDep) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, d := range deps {
-		ctr := db.gens[d.Name]
-		if ctr == nil {
-			if d.Gen != 0 {
-				return false
-			}
-			continue
-		}
-		if ctr.Load() != d.Gen {
-			return false
-		}
-	}
-	return true
-}
-
 // TableNames returns the lowercased names of all registered tables, sorted.
 func (db *DB) TableNames() []string {
 	db.mu.Lock()

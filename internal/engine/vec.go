@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
 	dt "pi2/internal/difftree"
 )
@@ -219,22 +217,6 @@ type vecPlan struct {
 	gOrder     []gExpr
 }
 
-// vecState is the per-plan runtime cache: selections and the build-side hash
-// are pure functions of immutable base tables, so they are computed once and
-// shared by every (possibly concurrent) Exec, mirroring scanState. Durations
-// and batch counts are kept so a profiled run after an unprofiled cold run
-// still reports the warm truth (~0, like a warm scanState scan).
-type vecState struct {
-	selOnce    sync.Once
-	sel        [][]int32 // per source; nil = all rows (no pushed predicates)
-	selDur     []time.Duration
-	selBatches []int
-
-	buildOnce sync.Once
-	build     *hashIndex
-	buildDur  time.Duration
-}
-
 // minVecRows gates the vectorized path by size: below this the row path is
 // already micro-seconds fast and building columnar storage buys nothing.
 // Forced mode (prepareForceVec) bypasses the gate but never eligibility.
@@ -347,7 +329,6 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 	}
 
 	pq.vec = vp
-	pq.vecst = &vecState{}
 }
 
 // vecLocalCol recognizes a bare reference to one of this query's own columns.

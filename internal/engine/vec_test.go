@@ -200,7 +200,7 @@ func TestVecGenerationInvalidation(t *testing.T) {
 		t.Fatalf("batch counters empty: %+v", c0)
 	}
 
-	// Warm re-execution of the same plan reuses the cached selection: no new
+	// Re-executing the same plan reuses the DB's column image: no new
 	// column builds.
 	if _, err := plan.Exec(); err != nil {
 		t.Fatal(err)

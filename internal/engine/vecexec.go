@@ -23,8 +23,9 @@ import (
 //             scan order so float sums round identically to the row path.
 //
 // Selections and the filtered build hash are pure functions of immutable
-// base tables, so they are computed once per plan and shared by concurrent
-// Execs (vecState), mirroring scanState. Errors cannot occur before output:
+// base tables, so a query re-run within one Exec (a subquery evaluated per
+// outer row) computes them once, in the Exec's scratch, like the row path's
+// scans. Errors cannot occur before output:
 // every pushed predicate is a proven-pure shape. Grouped output replays the
 // row path's per-group evaluation order — HAVING, then select items, then
 // order keys — so aggregate type errors surface for exactly the same group
@@ -34,51 +35,45 @@ import (
 // rows offered (the row path's `offered` counter).
 func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, error) {
 	vp := pq.vec
-	vs := pq.vecst
+	qs := outer.scratch().query(pq)
 
-	// 1. Scans: compute (or reuse) the per-source selection vectors.
-	freshScan := false
-	vs.selOnce.Do(func() {
-		freshScan = true
-		vs.sel = make([][]int32, vp.nsrc)
-		vs.selDur = make([]time.Duration, vp.nsrc)
-		vs.selBatches = make([]int, vp.nsrc)
+	// 1. Scans: compute (or, on a re-run within this Exec, reuse) the
+	// per-source selection vectors.
+	var selDur [2]time.Duration
+	var selBatches [2]int
+	if !qs.selDone {
+		qs.sel = make([][]int32, vp.nsrc)
 		for i := 0; i < vp.nsrc; i++ {
 			if len(vp.scanPreds[i]) == 0 {
 				continue
 			}
 			t0 := time.Now()
-			vs.sel[i], vs.selBatches[i] = pq.vecSelect(i)
-			vs.selDur[i] = time.Since(t0)
+			qs.sel[i], selBatches[i] = pq.vecSelect(i)
+			selDur[i] = time.Since(t0)
 		}
-	})
+		qs.selDone = true
+	}
 	if prof != nil {
 		for i := 0; i < vp.nsrc; i++ {
 			in := vp.cols[i].rows
 			out, path := in, "vectorized"
-			var d time.Duration
-			batches := 0
 			if len(vp.scanPreds[i]) > 0 {
-				out = len(vs.sel[i])
+				out = len(qs.sel[i])
 				path = "vectorized-filter"
 				if pq.vecIndexed(i) {
 					// The index names the access path, as on the row path;
 					// the batch count says the columnar filter ran.
 					path = pq.levels[i].access.path()
 				}
-				if freshScan {
-					d = vs.selDur[i]
-					batches = vs.selBatches[i]
-				}
 			}
-			prof.addVec("scan", pq.sources[i].alias, path, in, out, batches, d)
+			prof.addVec("scan", pq.sources[i].alias, path, in, out, selBatches[i], selDur[i])
 		}
 	}
 
 	// 2. Pairs: the surviving (r0, r1) combinations in nested-loop order.
 	// For a single source r1s stays nil; r0s == nil means the identity
 	// selection (no pushed predicates).
-	r0s := vs.sel[0]
+	r0s := qs.sel[0]
 	var r1s []int32
 	npairs := len(r0s)
 	if r0s == nil {
@@ -86,7 +81,7 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 	}
 	if vp.nsrc == 2 {
 		var err error
-		r0s, r1s, err = pq.vecJoin(prof)
+		r0s, r1s, err = pq.vecJoin(prof, qs)
 		if err != nil {
 			return 0, err
 		}
@@ -386,12 +381,11 @@ func vecCrossPass(vp *vecPlan, r0, r1 int) bool {
 
 // vecJoin produces the joined (r0, r1) pair lists in nested-loop order:
 // r0 ascending in probe-selection order, r1 ascending within each bucket.
-func (pq *planQuery) vecJoin(prof *Profile) ([]int32, []int32, error) {
+func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) ([]int32, []int32, error) {
 	vp := pq.vec
-	vs := pq.vecst
 	db := pq.db
 	tc0, tc1 := vp.cols[0], vp.cols[1]
-	sel0, sel1 := vs.sel[0], vs.sel[1]
+	sel0, sel1 := qs.sel[0], qs.sel[1]
 	n0 := len(sel0)
 	if sel0 == nil {
 		n0 = tc0.rows
@@ -454,20 +448,15 @@ func (pq *planQuery) vecJoin(prof *Profile) ([]int32, []int32, error) {
 			prof.addVec("hash-build", pq.sources[1].alias, buildPath, n1, h.size(), 0, time.Since(tb))
 		}
 	} else {
-		freshBuild := false
-		vs.buildOnce.Do(func() {
-			freshBuild = true
+		var d time.Duration
+		if qs.build == nil {
 			t0 := time.Now()
-			vs.build = buildHashIndex(&tc1.cols[vp.key1], sel1, tc1.rows)
-			vs.buildDur = time.Since(t0)
+			qs.build = buildHashIndex(&tc1.cols[vp.key1], sel1, tc1.rows)
+			d = time.Since(t0)
 			db.noteBatches(len(sel1))
-		})
-		h = vs.build
+		}
+		h = qs.build
 		if prof != nil {
-			var d time.Duration
-			if freshBuild {
-				d = vs.buildDur
-			}
 			prof.addVec("hash-build", pq.sources[1].alias, "vectorized", n1, h.size(), 0, d)
 		}
 	}

@@ -89,8 +89,9 @@ func TestPlanCachePerDistinctQuery(t *testing.T) {
 	}
 }
 
-// When a binding state's memoized result is gone (evicted) but its resolved
-// query's plan survives, the plan is reused: only execution runs.
+// When a resolved query's kept result is gone (dropped) but its plan
+// survives, the plan is reused: only execution runs, once, and the next
+// read is served without executing.
 func TestPlanCacheHitAfterResultEviction(t *testing.T) {
 	ifc, ctx := buildSliderInterface(t)
 	sess, _ := NewSession(ifc, ctx, testDB)
@@ -101,10 +102,8 @@ func TestPlanCacheHitAfterResultEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// evict the result layer only, as cap pressure would
-	sess.mu.Lock()
-	sess.results[0] = newLRU[uint64, cachedResult](maxCachedResultsPerTree)
-	sess.mu.Unlock()
+	// drop the result only, as budget pressure would
+	dropResults(sess.plans)
 	second, err := sess.Result(0)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +112,31 @@ func TestPlanCacheHitAfterResultEviction(t *testing.T) {
 	if st.PlanHits != 1 || st.PlanMisses != 1 {
 		t.Fatalf("plan stats = %+v, want one miss then one hit", st)
 	}
-	if st.ResultMisses != 2 {
-		t.Fatalf("result stats = %+v, want two misses", st)
+	if st.ResultMisses != 2 || sess.plans.Execs() != 2 || sess.plans.Compiles() != 1 {
+		t.Fatalf("result stats = %+v, %d execs, %d compiles; want two misses, two execs, one compile",
+			st, sess.plans.Execs(), sess.plans.Compiles())
 	}
 	if !reflect.DeepEqual(first.Rows, second.Rows) {
 		t.Fatal("plan-hit execution disagrees with original")
+	}
+	if _, err := sess.Result(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.ResultHits != 1 || sess.plans.Execs() != 2 {
+		t.Fatalf("re-read executed: %+v, %d execs; want one hit, still two execs", st, sess.plans.Execs())
+	}
+}
+
+// dropResults detaches every kept result of pc, leaving its plans resident.
+func dropResults(pc *PlanCache) {
+	for i := range pc.shards {
+		sh := &pc.shards[i]
+		sh.mu.Lock()
+		sh.lru.oldest(func(e *planEntry) bool {
+			sh.drop(e)
+			return true
+		})
+		sh.mu.Unlock()
 	}
 }
 
@@ -169,12 +188,13 @@ func TestResetCacheForcesRecomputation(t *testing.T) {
 	}
 }
 
-// The result cache must stay bounded under an unbounded stream of distinct
-// binding states (every drag step of a slider is a new state).
+// The plan and result cache must stay bounded under an unbounded stream of
+// distinct binding states (every drag step of a slider is a new state).
 func TestResultCacheBounded(t *testing.T) {
 	ifc, ctx := buildSliderInterface(t)
 	sess, _ := NewSession(ifc, ctx, testDB)
-	for i := 0; i < maxCachedResultsPerTree*3; i++ {
+	maxPlans := planShards * maxSharedPlansPerShd
+	for i := 0; i < maxPlans*3/2; i++ {
 		if err := sess.SetSlider("w0", float64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +203,14 @@ func TestResultCacheBounded(t *testing.T) {
 		}
 	}
 	sess.mu.Lock()
-	nResults := sess.results[0].len()
 	nPlans := sess.plans.Len()
+	cells := sess.plans.resultCells()
 	sess.mu.Unlock()
-	if nResults > maxCachedResultsPerTree {
-		t.Fatalf("result cache grew to %d entries (cap %d)", nResults, maxCachedResultsPerTree)
-	}
-	if maxPlans := planShards * maxSharedPlansPerShd; nPlans > maxPlans {
+	if nPlans > maxPlans {
 		t.Fatalf("plan cache grew to %d entries (cap %d)", nPlans, maxPlans)
+	}
+	if cells > maxResultCells {
+		t.Fatalf("kept results grew to %d cells (budget %d)", cells, maxResultCells)
 	}
 }
 
@@ -267,7 +287,7 @@ func TestHotEntrySurvivesEviction(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxCachedResultsPerTree*2; i++ {
+	for i := 0; i < planShards*maxSharedPlansPerShd; i++ {
 		// a cold stream of distinct states, re-touching the hot state each
 		// time so it stays the most recently used
 		if err := sess.SetSlider("w0", float64(i)); err != nil {

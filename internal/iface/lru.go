@@ -8,9 +8,9 @@ import "container/list"
 // resident while stale drag states age out. The arbitrary-map-order
 // eviction it replaces could evict the hottest entry at the cap.
 //
-// The key is any comparable type: the session caches key by 64-bit hashes,
-// the shared plan cache by hash⊕generation, and tests by whatever is
-// convenient. Not safe for concurrent use; callers hold their own lock.
+// The key is any comparable type: the shared plan cache keys by 64-bit
+// resolved-query hashes, tests by whatever is convenient. Not safe for
+// concurrent use; callers hold their own lock.
 type lruCache[K comparable, V any] struct {
 	cap     int
 	order   *list.List // front = most recently used
@@ -37,20 +37,36 @@ func (c *lruCache[K, V]) get(k K) (V, bool) {
 }
 
 // put inserts or replaces the entry, marking it most recently used and
-// evicting the least recently used entry when the cache is at capacity.
-func (c *lruCache[K, V]) put(k K, v V) {
+// evicting the least recently used entry when the cache is at capacity. It
+// returns the value it displaced: the key's previous value, or the evicted
+// entry's.
+func (c *lruCache[K, V]) put(k K, v V) (old V, displaced bool) {
 	if e, ok := c.entries[k]; ok {
-		e.Value.(*lruEntry[K, V]).val = v
+		ent := e.Value.(*lruEntry[K, V])
+		old, ent.val = ent.val, v
 		c.order.MoveToFront(e)
-		return
+		return old, true
 	}
 	if len(c.entries) >= c.cap {
 		if back := c.order.Back(); back != nil {
-			delete(c.entries, back.Value.(*lruEntry[K, V]).key)
+			ent := back.Value.(*lruEntry[K, V])
+			delete(c.entries, ent.key)
 			c.order.Remove(back)
+			old, displaced = ent.val, true
 		}
 	}
 	c.entries[k] = c.order.PushFront(&lruEntry[K, V]{key: k, val: v})
+	return old, displaced
+}
+
+// oldest calls fn on the entries from least to most recently used until fn
+// returns false. fn must not add or remove entries.
+func (c *lruCache[K, V]) oldest(fn func(V) bool) {
+	for e := c.order.Back(); e != nil; e = e.Prev() {
+		if !fn(e.Value.(*lruEntry[K, V]).val) {
+			return
+		}
+	}
 }
 
 // len reports the number of resident entries.

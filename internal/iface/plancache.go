@@ -8,48 +8,78 @@ import (
 	"pi2/internal/engine"
 )
 
-// PlanCache is a compiled-plan cache shared read-only across sessions.
+// PlanCache is the registry-wide cache of compiled plans and their results,
+// shared read-only across sessions.
 //
-// A compiled engine.Plan depends only on the resolved query AST and the
-// table snapshots it was prepared against — it is binding-independent
-// (distinct binding states that resolve to the same SQL share one plan) and
-// session-independent (no per-user state leaks into compilation). So one
-// registry-wide cache can serve every session: entries are keyed by
-// difftree.Hash(ast) alone and validated per use against the referenced
-// tables' generations (engine.Plan.Stale) — a write to one table replaces
-// only the entries whose plans actually read it; every other plan stays
-// resident and hot. Per-binding *result* tables, by contrast, stay
-// session-private — see Session.
+// A Difftree's result is a function of the resolved query and the table
+// generations it read; it does not depend on which session asked. So one
+// cache serves every session: entries are keyed by difftree.Hash(ast) alone
+// (difftree.Equal guards against collisions) and validated per use against
+// the referenced tables' generations (engine.Plan.Stale). A write to one
+// table replaces only the entries whose plans read it; every other entry
+// stays resident and hot.
 //
-// Compilation is single-flighted exactly like the search layer's
-// rewardCache: the per-entry sync.Once runs Prepare at most once across all
-// sessions and blocks concurrent requesters until the plan (or its error —
-// Prepare failures are deterministic for a fixed AST and generation, so
-// they are memoized too) is ready. Sharding keeps sessions from
-// serializing on one lock; each shard's LRU bounds residency.
+// Each entry holds the compiled plan and the last result executed from it.
+// The result read exactly the table snapshots the plan was prepared
+// against, so its dependencies are the plan's (Plan.Deps) and it is served
+// while the plan is fresh, by the same rule. Sessions keep no tables.
+//
+// Compilation and execution are single-flighted like the search layer's
+// rewardCache: Prepare runs at most once per entry (its errors are
+// deterministic for a fixed AST and generation, so they are memoized too),
+// and a result is executed at most once per entry while it is kept, with
+// concurrent requesters waiting for it. Execution errors are not kept.
+// Sharding keeps sessions from serializing on one lock. Each shard's LRU
+// bounds the number of resident plans, and results are charged rows ×
+// columns against a registry-wide budget (maxResultCells), which drops the
+// results of the shard's least recently used entries first.
 type PlanCache struct {
 	shards   [planShards]planShard
 	compiles atomic.Uint64 // Prepare calls actually run (for tests/stats)
+	execs    atomic.Uint64 // result executions actually run (for tests)
 }
 
 const (
 	planShards           = 8
 	maxSharedPlansPerShd = 128 // 8 shards × 128 = 1024 plans registry-wide
+
+	// maxResultCells bounds the cells (rows × columns) of the result tables
+	// kept registry-wide, about 40 MB of engine.Value cells; each shard
+	// keeps at most its equal share.
+	maxResultCells         = 1 << 20
+	maxResultCellsPerShard = maxResultCells / planShards
 )
 
+// planShard is one lock's worth of entries. cells and every entry's res
+// field are guarded by mu.
 type planShard struct {
-	mu  sync.Mutex
-	lru *lruCache[uint64, *planEntry]
+	mu    sync.Mutex
+	lru   *lruCache[uint64, *planEntry]
+	cells int // cells of the results kept in this shard
 }
 
-// planEntry single-flights one resolved-AST compilation. ast guards against
-// 64-bit key collisions; it is set before the entry is published and never
-// written again. plan/err are written once inside once.Do.
+// planEntry single-flights one resolved-AST compilation and holds the last
+// result executed from it. ast guards against 64-bit key collisions; it is
+// set before the entry is published and never written again. plan/err are
+// written once inside once.Do; res is guarded by the shard mutex.
 type planEntry struct {
 	once sync.Once
 	ast  *dt.Node
 	plan *engine.Plan
 	err  error
+
+	res *resultCall // nil when no result is kept or being executed
+}
+
+// resultCall single-flights one execution of an entry's plan. tbl/err are
+// written once inside once.Do; kept and cells are guarded by the shard
+// mutex.
+type resultCall struct {
+	once  sync.Once
+	tbl   *engine.Table
+	err   error
+	kept  bool // tbl is served from the cache and charged to the shard
+	cells int
 }
 
 // NewPlanCache returns an empty shared plan cache.
@@ -61,34 +91,42 @@ func NewPlanCache() *PlanCache {
 	return pc
 }
 
-// planStaleRetries bounds how many times Get replaces a stale entry and
+// planStaleRetries bounds how many times entry replaces a stale entry and
 // recompiles before giving up and returning the (possibly still stale) plan
 // — under a sustained writer the caller's Exec surfaces ErrStalePlan and
 // the request layer decides what to do.
 const planStaleRetries = 3
 
 // Get returns the compiled plan for ast, compiling at most once across all
-// sessions. Resident plans are validated against the generations of the
-// tables they read (engine.Plan.Stale); a stale entry is replaced in place
-// and recompiled, which touches only the written table's plans — unrelated
-// entries stay hot. hit reports whether a still-fresh entry already existed
-// (the caller may have waited for another session's in-flight compilation,
-// but no compilation ran on its behalf).
+// sessions. hit reports whether the plan was compiled by another request
+// (the caller may have waited for its in-flight compilation, but no
+// compilation ran on its behalf).
 func (pc *PlanCache) Get(db *engine.DB, ast *dt.Node) (plan *engine.Plan, hit bool, err error) {
+	e, _, compiled, _ := pc.entry(db, ast)
+	return e.plan, !compiled, e.err
+}
+
+// entry returns the resident entry for ast with its plan compiled. Resident
+// plans are validated against the generations of the tables they read
+// (engine.Plan.Stale); a stale entry is replaced in place, dropping its
+// result, and recompiled, which touches only the written table's entries.
+// compiled reports whether this call ran Prepare; invalidated whether it
+// replaced a stale entry that held a kept result.
+func (pc *PlanCache) entry(db *engine.DB, ast *dt.Node) (e *planEntry, sh *planShard, compiled, invalidated bool) {
 	key := dt.Hash(ast)
-	sh := &pc.shards[key%planShards]
+	sh = &pc.shards[key%planShards]
 	for attempt := 0; ; attempt++ {
 		sh.mu.Lock()
 		e, ok := sh.lru.get(key)
-		if ok && !dt.Equal(e.ast, ast) {
-			ok = false // 64-bit collision: replace rather than serve a stranger's plan
-		}
-		if !ok {
+		if !ok || !dt.Equal(e.ast, ast) {
+			// A miss, or a 64-bit collision: replace rather than serve a
+			// stranger's plan.
 			e = &planEntry{ast: ast}
-			sh.lru.put(key, e)
+			sh.put(key, e)
 		}
 		sh.mu.Unlock()
 		e.once.Do(func() {
+			compiled = true
 			pc.compiles.Add(1)
 			e.plan, e.err = engine.Prepare(db, ast)
 		})
@@ -97,12 +135,94 @@ func (pc *PlanCache) Get(db *engine.DB, ast *dt.Node) (plan *engine.Plan, hit bo
 			// another session may have already swapped it) and recompile.
 			sh.mu.Lock()
 			if cur, live := sh.lru.get(key); live && cur == e {
-				sh.lru.put(key, &planEntry{ast: ast})
+				invalidated = invalidated || (e.res != nil && e.res.kept)
+				sh.put(key, &planEntry{ast: ast})
 			}
 			sh.mu.Unlock()
 			continue
 		}
-		return e.plan, ok && attempt == 0, e.err
+		return e, sh, compiled, invalidated
+	}
+}
+
+// kept returns e's kept result, if any.
+func (sh *planShard) kept(e *planEntry) (*engine.Table, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c := e.res; c != nil && c.kept {
+		return c.tbl, true
+	}
+	return nil, false
+}
+
+// result returns the result of e's plan, executing it at most once across
+// all sessions while the result is kept; a request arriving during an
+// execution waits for it. ran reports whether this call executed the plan.
+// before, when non-nil, runs in the executing call just before Exec.
+func (pc *PlanCache) result(sh *planShard, e *planEntry, before func()) (tbl *engine.Table, ran bool, err error) {
+	sh.mu.Lock()
+	c := e.res
+	if c == nil {
+		c = &resultCall{}
+		e.res = c
+	}
+	sh.mu.Unlock()
+	c.once.Do(func() {
+		ran = true
+		if before != nil {
+			before()
+		}
+		pc.execs.Add(1)
+		c.tbl, c.err = e.plan.Exec()
+		sh.settle(e, c)
+	})
+	return c.tbl, ran, c.err
+}
+
+// settle keeps a finished execution's result in its entry and charges it
+// to the shard, then drops least recently used results until the shard is
+// within its budget, the new one included when it alone exceeds it. A
+// failed execution is detached instead, so the next request re-executes;
+// so is a result whose entry was replaced while it ran.
+func (sh *planShard) settle(e *planEntry, c *resultCall) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e.res != c {
+		return
+	}
+	if c.err != nil {
+		e.res = nil
+		return
+	}
+	c.kept, c.cells = true, len(c.tbl.Rows)*len(c.tbl.Cols)
+	sh.cells += c.cells
+	sh.lru.oldest(func(old *planEntry) bool {
+		if sh.cells <= maxResultCellsPerShard {
+			return false
+		}
+		sh.drop(old)
+		return true
+	})
+}
+
+// put makes e the resident entry for key, dropping the result of the entry
+// it displaces (the key's previous entry, or the shard's least recently
+// used one at capacity).
+func (sh *planShard) put(key uint64, e *planEntry) {
+	if old, ok := sh.lru.put(key, e); ok {
+		sh.drop(old)
+	}
+}
+
+// drop detaches e's result, uncharging it if it was kept. A request still
+// waiting on a detached execution gets its table, but the cache no longer
+// serves it.
+func (sh *planShard) drop(e *planEntry) {
+	if c := e.res; c != nil {
+		if c.kept {
+			sh.cells -= c.cells
+		}
+		e.res = nil
 	}
 }
 
@@ -118,7 +238,24 @@ func (pc *PlanCache) Len() int {
 	return n
 }
 
+// resultCells reports the cells of the results kept across all shards.
+func (pc *PlanCache) resultCells() int {
+	n := 0
+	for i := range pc.shards {
+		sh := &pc.shards[i]
+		sh.mu.Lock()
+		n += sh.cells
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // Compiles reports how many Prepare calls actually ran — under single
 // flight this stays at one per distinct (query, generation) no matter how
 // many sessions request it concurrently.
 func (pc *PlanCache) Compiles() uint64 { return pc.compiles.Load() }
+
+// Execs reports how many plan executions the result cache actually ran:
+// one per distinct (query, generation) while its result stays kept, no
+// matter how many sessions request it.
+func (pc *PlanCache) Execs() uint64 { return pc.execs.Load() }

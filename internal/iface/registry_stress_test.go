@@ -19,7 +19,8 @@ import (
 //  2. Exact eviction accounting: after quiescence, the aggregate cache
 //     counters over live + retired sessions equal the interactions issued.
 //  3. Race freedom across the registry fast path, eviction, the shared
-//     plan cache's single flight, and concurrent same-session traffic.
+//     plan and result cache's single flight, and concurrent same-session
+//     traffic.
 func TestRegistryStress(t *testing.T) {
 	goroutines, iters := 8, 120
 	if testing.Short() {
@@ -144,10 +145,17 @@ func TestRegistryStress(t *testing.T) {
 			st.Created, st.EvictedLRU, st.LiveSessions)
 	}
 	// Three distinct slider values resolve to three distinct queries; the
-	// shared single-flight cache must have compiled each exactly once no
-	// matter how many sessions raced for it.
+	// shared single-flight cache must have compiled and executed each
+	// exactly once no matter how many sessions raced for it: every other
+	// read was served without executing.
 	if n := pc.Compiles(); n != uint64(len(values)) {
 		t.Fatalf("shared plan compiles = %d, want %d", n, len(values))
+	}
+	if n := pc.Execs(); n != uint64(len(values)) {
+		t.Fatalf("shared executions = %d, want %d", n, len(values))
+	}
+	if st.Cache.ResultMisses != uint64(len(values)) {
+		t.Fatalf("aggregate result misses = %d, want %d (one per distinct query)", st.Cache.ResultMisses, len(values))
 	}
 
 	// Evicted-then-recreated sessions answer identically after the storm.

@@ -272,8 +272,8 @@ func TestRegistryStatsDoesNotTakeSessionLocks(t *testing.T) {
 	}
 }
 
-// The shared plan cache compiles each distinct resolved query once across
-// sessions, and sessions with private caches each compile their own.
+// The shared plan cache compiles and executes each distinct resolved query
+// once across sessions: later sessions are served without executing.
 func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	pc := NewPlanCache()
 	reg := NewRegistry(sliderFactory(t, pc), RegistryOptions{Plans: pc})
@@ -289,9 +289,12 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	if n := pc.Compiles(); n != 1 {
 		t.Fatalf("compiles = %d, want 1 (one distinct resolved query)", n)
 	}
+	if n := pc.Execs(); n != 1 {
+		t.Fatalf("execs = %d, want 1 (sessions b and c served without executing)", n)
+	}
 	st := reg.Stats()
-	if st.Cache.PlanMisses != 1 || st.Cache.PlanHits != 2 {
-		t.Fatalf("plan stats = %+v, want 1 miss + 2 shared hits", st.Cache)
+	if st.Cache.ResultMisses != 1 || st.Cache.ResultHits != 2 || st.Cache.PlanMisses != 1 || st.Cache.PlanHits != 0 {
+		t.Fatalf("cache stats = %+v, want 1 result miss + 2 shared result hits, 1 plan miss", st.Cache)
 	}
 	if st.SharedPlans != 1 || st.PlanCompiles != 1 {
 		t.Fatalf("registry plan stats = %+v", st)
@@ -304,7 +307,7 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	if n := pc.Compiles(); n != 2 {
-		t.Fatalf("compiles = %d, want 2", n)
+	if n, x := pc.Compiles(), pc.Execs(); n != 2 || x != 2 {
+		t.Fatalf("compiles, execs = %d, %d, want 2, 2", n, x)
 	}
 }

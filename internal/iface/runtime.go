@@ -14,16 +14,17 @@ import (
 	"pi2/internal/transform"
 )
 
-// CacheStats counts interaction-cache traffic. A result hit means a widget
-// event was answered entirely from memoized state — no parse, plan, or
-// execution; a plan hit means only execution ran (with a shared PlanCache
-// it also means the compiled plan may have come from another session).
+// CacheStats counts interaction-cache traffic. A result hit means a tree
+// was served without executing its query on this request's behalf — from a
+// result any session computed, or by waiting for one in flight; a plan hit
+// means this request executed a plan it did not compile (with a shared
+// PlanCache the plan may have come from another session).
 type CacheStats struct {
 	ResultHits    uint64
 	ResultMisses  uint64
 	PlanHits      uint64
 	PlanMisses    uint64
-	Invalidations uint64 // cached results discarded because a table they read mutated
+	Invalidations uint64 // kept results discarded because a table they read mutated
 }
 
 // Add accumulates o into c — how the registry folds per-session counters
@@ -59,40 +60,27 @@ func (c *sessionStats) snapshot() CacheStats {
 	}
 }
 
-// cachedResult memoizes one tree's result table for a binding state. The
-// canonical key string guards against 64-bit hash collisions. gen and deps
-// make the entry self-validating: it is served only while every table the
-// producing plan read is still at the generation it was read at (with the
-// global generation as a lock-free fast path), so a write invalidates only
-// the results that actually touched the written table.
-type cachedResult struct {
-	key  string
-	tbl  *engine.Table
-	gen  uint64            // global DB generation when execution started
-	deps []engine.TableDep // tables the result read, with their generations
-}
-
 // Session is the interaction runtime: the in-process stand-in for the
 // browser (DESIGN.md §4). It holds the current binding of every Difftree;
 // manipulating a widget or visualization interaction routes an event tuple
 // to the covered choice nodes (paper §4.2.1), after which the bound queries
 // re-resolve and re-execute.
 //
-// The session caches aggressively on the serving hot path: plans are keyed
-// by the hash of the resolved query (so distinct binding states that
-// resolve to the same SQL share one compiled plan) and result tables are
-// memoized per tree per binding state (so repeated widget events — a slider
-// dragged back and forth, a filter toggled — skip parse, plan, and
-// execution entirely). Both layers validate per entry against the
-// generations of the tables each entry actually read (engine.TableDep), so
-// a live write invalidates only the plans and results over the written
-// table; everything else stays warm. All exported methods lock a
-// per-session mutex, so one Session can serve concurrent HTTP requests.
+// A session keeps its bindings and no tables. Each read resolves the tree
+// under its binding and asks the PlanCache, which keys compiled plans and
+// their results by the resolved query (so distinct binding states that
+// resolve to the same SQL share one plan and one result, and repeated
+// widget events — a slider dragged back and forth, a filter toggled — skip
+// planning and execution). Entries validate per use against the generations
+// of the tables they read (engine.Plan.Stale), so a live write invalidates
+// only the plans and results over the written table; everything else stays
+// warm. All exported methods lock a per-session mutex, so one Session can
+// serve concurrent HTTP requests.
 //
-// The plan layer is a PlanCache. Under a Registry, many sessions run side
-// by side: each keeps its own bindings, result caches, and mutex, while
-// they share one PlanCache (NewSessionWithPlans) so the fleet compiles each
-// distinct resolved query once.
+// Under a Registry, many sessions run side by side: each keeps its own
+// bindings and mutex, while they share one PlanCache (NewSessionWithPlans),
+// so the fleet compiles and executes each distinct resolved query once per
+// table generation.
 type Session struct {
 	Ifc *Interface
 	Ctx *transform.Context
@@ -101,18 +89,23 @@ type Session struct {
 	mu       sync.Mutex
 	bindings []dt.Binding // per tree
 
-	plans    *PlanCache                        // resolved-AST hash -> compiled plan
-	ownPlans bool                              // plans is this session's alone; ResetCache drops it
-	results  []*lruCache[uint64, cachedResult] // per tree: binding hash -> result
+	// resolved memoizes, per tree, the resolved query of recent binding
+	// states (binding-key hash -> AST), so a state the session returns to
+	// skips Resolve and re-hashing.
+	resolved []*lruCache[uint64, resolvedAST]
+
+	plans    *PlanCache // resolved-AST hash -> compiled plan and its result
+	ownPlans bool       // plans is this session's alone; ResetCache drops it
 
 	// stats lives behind a pointer so the registry can keep just the
 	// counters of an evicted session (a few dozen bytes) while the session
-	// itself — bindings, caches, memoized tables — is garbage collected.
+	// itself is garbage collected.
 	stats *sessionStats
 
 	// execHook, when set, runs between plan resolution and execution on
-	// every attempt of the cached-execution and explain paths. Test-only: it
-	// lets the mutated-mid-request window be exercised deterministically.
+	// every attempt that executes, on the cached-execution and explain
+	// paths. Test-only: it lets the mutated-mid-request window be exercised
+	// deterministically.
 	execHook func()
 }
 
@@ -122,22 +115,24 @@ func NewSession(ifc *Interface, ctx *transform.Context, db *engine.DB) (*Session
 	return NewSessionWithPlans(ifc, ctx, db, nil)
 }
 
-// NewSessionWithPlans is NewSession with a shared read-only plan cache:
-// compiled plans are looked up in (and published to) plans, so a fleet of
-// sessions over one interface compiles each distinct resolved query once.
-// Result tables remain session-private (they are keyed by this session's
-// binding states). A nil plans gives the session a PlanCache of its own,
-// as NewSession does.
+// NewSessionWithPlans is NewSession with a shared plan cache: compiled
+// plans and their results are looked up in (and published to) plans, so a
+// fleet of sessions over one interface compiles and executes each distinct
+// resolved query once. A nil plans gives the session a PlanCache of its
+// own, as NewSession does.
 func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, plans *PlanCache) (*Session, error) {
 	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans, ownPlans: plans == nil, stats: &sessionStats{}}
+	if s.ownPlans {
+		s.plans = NewPlanCache()
+	}
 	for ti, tree := range ifc.State.Trees {
 		qb, ok := tree.Bind(ctx)
 		if !ok || len(qb.PerQuery) == 0 {
 			return nil, fmt.Errorf("iface: tree %d has no query binding", ti)
 		}
 		s.bindings = append(s.bindings, qb.PerQuery[0].Clone())
+		s.resolved = append(s.resolved, newLRU[uint64, resolvedAST](maxResolvedPerTree))
 	}
-	s.resetCacheLocked()
 	return s, nil
 }
 
@@ -146,25 +141,20 @@ func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, 
 // an in-flight interaction holding the session mutex.
 func (s *Session) Stats() CacheStats { return s.stats.snapshot() }
 
-// ResetCache drops this session's memoized result tables and, when the
-// session owns its PlanCache, its plans (counters are kept). The next
-// interaction takes the full parse/plan/execute path. A shared PlanCache is
-// not flushed — it belongs to every session, and its entries are validated
-// per use against the generations of the tables they read, so they can
-// never serve stale plans.
+// ResetCache drops the session's resolution memo and, when the session owns
+// its PlanCache, its plans and results (counters are kept): the next
+// interaction takes the full resolve/plan/execute path. A shared PlanCache
+// is not flushed — it belongs to every session, and its entries are
+// validated per use against the generations of the tables they read, so
+// they can never serve stale plans or results.
 func (s *Session) ResetCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resetCacheLocked()
-}
-
-func (s *Session) resetCacheLocked() {
+	for i := range s.resolved {
+		s.resolved[i] = newLRU[uint64, resolvedAST](maxResolvedPerTree)
+	}
 	if s.ownPlans {
 		s.plans = NewPlanCache()
-	}
-	s.results = make([]*lruCache[uint64, cachedResult], len(s.bindings))
-	for i := range s.results {
-		s.results[i] = newLRU[uint64, cachedResult](maxCachedResultsPerTree)
 	}
 }
 
@@ -212,9 +202,10 @@ func (s *Session) CurrentSQLAll() []TreeSQL {
 	return out
 }
 
-// Results executes every tree under its current binding, serving repeated
-// binding states from the interaction cache. The returned tables are
-// shared with the cache (and across callers): treat them as immutable.
+// Results executes every tree under its current binding, serving resolved
+// queries some session already executed from the PlanCache. The returned
+// tables are shared with the cache (and across callers and sessions): treat
+// them as immutable.
 func (s *Session) Results() ([]*engine.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,7 +213,7 @@ func (s *Session) Results() ([]*engine.Table, error) {
 }
 
 // ResultsTraced is Results with a request trace attached: each tree that
-// misses the result cache records "plan.tN" and "exec.tN" spans, so a slow
+// finds no kept result records "plan.tN" and "exec.tN" spans, so a slow
 // request's log shows exactly which tree recompiled or re-executed. A nil
 // trace makes it exactly Results.
 func (s *Session) ResultsTraced(tr *obs.Trace) ([]*engine.Table, error) {
@@ -253,7 +244,7 @@ func (s *Session) Result(tree int) (*engine.Table, error) {
 
 // ExplainAnalyze resolves one tree under its current binding and executes it
 // with per-operator profiling (engine.Plan.ExecProfiled). The plan comes
-// through the normal plan-cache path, but the result cache is bypassed in
+// through the normal plan-cache path, but its kept result is bypassed in
 // both directions — profiling only means anything when the query actually
 // runs — and left untouched, so explaining never perturbs serving state.
 // If the DB mutates between plan resolution and the profiled execution, the
@@ -310,12 +301,32 @@ func (s *Session) ExplainPlan(tree int) (string, string, error) {
 	return sqlparser.ToSQL(ast), plan.Explain(), nil
 }
 
-// Result cache size cap. A long-lived serving session sees an unbounded
-// stream of binding states (every drag step of a brush is a new state), so
-// results are LRU-bounded like plans (PlanCache): at the cap the least
-// recently used entry is evicted per insert, keeping steady-state memory
-// flat while guaranteeing the recently-hot states stay resident.
-const maxCachedResultsPerTree = 512
+// resolvedAST is one memoized resolution; key, the canonical binding key,
+// guards against 64-bit hash collisions.
+type resolvedAST struct {
+	key string
+	ast *dt.Node
+}
+
+// maxResolvedPerTree bounds each tree's resolution memo. It holds ASTs, not
+// tables, and only needs to cover the few states a user moves between.
+const maxResolvedPerTree = 16
+
+// resolveLocked returns the tree's resolved query under its current binding.
+func (s *Session) resolveLocked(tree int) (*dt.Node, error) {
+	b := s.bindings[tree]
+	key := b.KeyString()
+	h := dt.HashKey(key)
+	if r, ok := s.resolved[tree].get(h); ok && r.key == key {
+		return r.ast, nil
+	}
+	ast, err := dt.Resolve(s.Ifc.State.Trees[tree].Root, b)
+	if err != nil {
+		return nil, err
+	}
+	s.resolved[tree].put(h, resolvedAST{key: key, ast: ast})
+	return ast, nil
+}
 
 // execStaleRetries bounds how many times the execution paths re-resolve a
 // plan that went stale between resolution and execution (a live writer hit
@@ -323,70 +334,74 @@ const maxCachedResultsPerTree = 512
 // caller, which maps it to a retryable client error at the HTTP layer.
 const execStaleRetries = 3
 
-// resultLocked is the cached execution path for one tree: result cache by
-// binding hash, then plan cache by resolved-query hash, then compile. A
-// cached result is served only while the tables it read are unchanged
-// (fast path: the global generation hasn't moved at all; slow path: the
-// per-table dependency check), so a write to one table evicts only the
-// results over that table. tr (nil on untraced calls) receives plan/exec
-// spans on the miss path only — a result-cache hit records nothing, keeping
-// the hot path alloc-free.
+// resultLocked is the cached execution path for one tree: resolve the
+// binding (resolveLocked), then ask the PlanCache for the resolved query's entry (compiling
+// on miss) and its kept result (executing on miss, once across sessions).
+// Entries are served only while the tables they read are unchanged, so a
+// write to one table drops only the results over that table. Each call
+// counts one result hit (nothing executed on its behalf) or miss. tr (nil
+// on untraced calls) receives plan/exec spans only when no kept result
+// answers.
 func (s *Session) resultLocked(tree int, tr *obs.Trace) (*engine.Table, error) {
-	b := s.bindings[tree]
-	bkey := b.KeyString()
-	bh := dt.HashKey(bkey)
-	if cr, ok := s.results[tree].get(bh); ok && cr.key == bkey {
-		if cr.gen == s.DB.Generation() || s.DB.Fresh(cr.deps) {
-			s.stats.resultHits.Add(1)
-			return cr.tbl, nil
-		}
-		// A table this result read has mutated: discard and re-execute.
-		s.stats.invalidations.Add(1)
-	}
-	s.stats.resultMisses.Add(1)
 	var end func()
 	if tr != nil {
 		end = tr.Span("plan.t" + strconv.Itoa(tree))
 	}
-	ast, err := dt.Resolve(s.Ifc.State.Trees[tree].Root, b)
+	ast, err := s.resolveLocked(tree)
 	if err != nil {
+		s.stats.resultMisses.Add(1)
 		return nil, err
 	}
-	var res *engine.Table
-	var plan *engine.Plan
-	// gen is snapshotted before execution so the cached entry's fast path
-	// can never claim freshness across a write that landed mid-execution.
-	gen := s.DB.Generation()
+	executed := false
 	for attempt := 0; ; attempt++ {
-		plan, err = s.planFor(ast)
+		e, sh, compiled, invalidated := s.plans.entry(s.DB, ast)
+		if invalidated {
+			s.stats.invalidations.Add(1)
+		}
+		if compiled {
+			s.stats.planMisses.Add(1)
+		}
+		if e.err != nil {
+			s.stats.resultMisses.Add(1)
+			return nil, e.err
+		}
+		if tbl, ok := sh.kept(e); ok {
+			s.countResult(executed)
+			return tbl, nil
+		}
 		if end != nil {
 			end()
-			end = nil
-		}
-		if err != nil {
-			return nil, err
 		}
 		if tr != nil {
 			end = tr.Span("exec.t" + strconv.Itoa(tree))
 		}
-		if s.execHook != nil {
-			s.execHook()
-		}
-		gen = s.DB.Generation()
-		res, err = plan.Exec()
+		tbl, ran, err := s.plans.result(sh, e, s.execHook)
 		if end != nil {
 			end()
 			end = nil
 		}
+		if ran && !compiled {
+			s.stats.planHits.Add(1)
+		}
+		executed = executed || ran
 		if err == nil {
-			break
+			s.countResult(executed)
+			return tbl, nil
 		}
 		if !errors.Is(err, engine.ErrStalePlan) || attempt >= execStaleRetries {
+			s.stats.resultMisses.Add(1)
 			return nil, err
 		}
 	}
-	s.results[tree].put(bh, cachedResult{key: bkey, tbl: res, gen: gen, deps: plan.Deps()})
-	return res, nil
+}
+
+// countResult counts one served tree: a miss when the request executed it.
+func (s *Session) countResult(executed bool) {
+	if executed {
+		s.stats.resultMisses.Add(1)
+	} else {
+		s.stats.resultHits.Add(1)
+	}
 }
 
 // planFor returns the compiled plan for a resolved query from the plan

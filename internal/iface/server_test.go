@@ -335,6 +335,18 @@ func TestServerStatsAggregates(t *testing.T) {
 	if st.PlanCompiles == 0 || st.SharedPlans == 0 {
 		t.Fatalf("shared plan cache not reported: %+v", st)
 	}
+	// A third session at bob's state is served bob's result without
+	// executing: one more result hit, no new miss or compile.
+	get(t, srv.URL+"/?session=carol")
+	_, body = get(t, srv.URL+"/stats")
+	var st2 RegistryStats
+	if err := json.Unmarshal([]byte(body), &st2); err != nil {
+		t.Fatal(err)
+	}
+	if st2.Cache.ResultHits != st.Cache.ResultHits+1 || st2.Cache.ResultMisses != st.Cache.ResultMisses ||
+		st2.PlanCompiles != st.PlanCompiles {
+		t.Fatalf("third session executed: %+v -> %+v", st, st2)
+	}
 }
 
 func TestServerReset(t *testing.T) {

@@ -51,11 +51,11 @@ func interactionSnapshot(t *testing.T, sess *iface.Session) (string, []byte) {
 // TestSharedPlanCacheServingEquivalence proves the cache-sharing contract
 // of the session registry: serving through one shared cross-session
 // PlanCache must be invisible in output. For every query in every built-in
-// workload log, a session with a private per-session plan cache and two
-// sessions sharing one PlanCache (the second riding entirely on plans the
-// first compiled) produce byte-identical interaction results — rendered
-// HTML text and the JSON encoding of every result table — across two full
-// passes over the log (the second pass exercises the warm caches).
+// workload log, a session with a private plan cache and two sessions
+// sharing one PlanCache (the second riding entirely on results the first
+// executed) produce byte-identical interaction results — rendered HTML text
+// and the JSON encoding of every result table — across two full passes over
+// the log (the second pass exercises the warm caches).
 func TestSharedPlanCacheServingEquivalence(t *testing.T) {
 	logs := workload.All()
 	if testing.Short() {
@@ -116,10 +116,11 @@ func TestSharedPlanCacheServingEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// The sharing must actually have engaged: sharedB executed every
-			// query yet compiled nothing sharedA hadn't already compiled.
-			if st := sharedB.Stats(); st.PlanHits == 0 {
-				t.Fatalf("sharedB never hit the shared plan cache: %+v", st)
+			// The sharing must actually have engaged: sharedB read every
+			// query after sharedA, so it was served every result without
+			// executing or compiling anything.
+			if st := sharedB.Stats(); st.ResultHits == 0 || st.ResultMisses != 0 {
+				t.Fatalf("sharedB executed instead of reading sharedA's results: %+v", st)
 			}
 			if private.Stats().PlanMisses <= sharedB.Stats().PlanMisses {
 				t.Fatalf("shared serving compiled as much as private serving: private %+v vs sharedB %+v",
