@@ -112,9 +112,9 @@ func TestPlanCacheHitAfterResultEviction(t *testing.T) {
 	if st.PlanHits != 1 || st.PlanMisses != 1 {
 		t.Fatalf("plan stats = %+v, want one miss then one hit", st)
 	}
-	if st.ResultMisses != 2 || sess.plans.Execs() != 2 || sess.plans.Compiles() != 1 {
+	if st.ResultMisses != 2 || sess.plans.execs.Load() != 2 || sess.plans.Compiles() != 1 {
 		t.Fatalf("result stats = %+v, %d execs, %d compiles; want two misses, two execs, one compile",
-			st, sess.plans.Execs(), sess.plans.Compiles())
+			st, sess.plans.execs.Load(), sess.plans.Compiles())
 	}
 	if !reflect.DeepEqual(first.Rows, second.Rows) {
 		t.Fatal("plan-hit execution disagrees with original")
@@ -122,8 +122,8 @@ func TestPlanCacheHitAfterResultEviction(t *testing.T) {
 	if _, err := sess.Result(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := sess.Stats(); st.ResultHits != 1 || sess.plans.Execs() != 2 {
-		t.Fatalf("re-read executed: %+v, %d execs; want one hit, still two execs", st, sess.plans.Execs())
+	if st := sess.Stats(); st.ResultHits != 1 || sess.plans.execs.Load() != 2 {
+		t.Fatalf("re-read executed: %+v, %d execs; want one hit, still two execs", st, sess.plans.execs.Load())
 	}
 }
 
@@ -314,4 +314,16 @@ func TestHotEntrySurvivesEviction(t *testing.T) {
 	if after.ResultHits != before.ResultHits+1 || after.ResultMisses != before.ResultMisses {
 		t.Fatalf("hot state evicted under pressure: %+v -> %+v", before, after)
 	}
+}
+
+// resultCells reports the cells of the results kept across all shards.
+func (pc *PlanCache) resultCells() int {
+	n := 0
+	for i := range pc.shards {
+		sh := &pc.shards[i]
+		sh.mu.Lock()
+		n += sh.cells
+		sh.mu.Unlock()
+	}
+	return n
 }

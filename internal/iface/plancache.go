@@ -9,7 +9,7 @@ import (
 )
 
 // PlanCache is the registry-wide cache of compiled plans and their results,
-// shared read-only across sessions.
+// shared across sessions.
 //
 // A Difftree's result is a function of the resolved query and the table
 // generations it read; it does not depend on which session asked. So one
@@ -21,8 +21,8 @@ import (
 //
 // Each entry holds the compiled plan and the last result executed from it.
 // The result read exactly the table snapshots the plan was prepared
-// against, so its dependencies are the plan's (Plan.Deps) and it is served
-// while the plan is fresh, by the same rule. Sessions keep no tables.
+// against, so its dependencies are the plan's and it is served while the
+// plan is fresh, by the same rule. Sessions keep no tables.
 //
 // Compilation and execution are single-flighted like the search layer's
 // rewardCache: Prepare runs at most once per entry (its errors are
@@ -238,24 +238,7 @@ func (pc *PlanCache) Len() int {
 	return n
 }
 
-// resultCells reports the cells of the results kept across all shards.
-func (pc *PlanCache) resultCells() int {
-	n := 0
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		sh.mu.Lock()
-		n += sh.cells
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Compiles reports how many Prepare calls actually ran — under single
 // flight this stays at one per distinct (query, generation) no matter how
 // many sessions request it concurrently.
 func (pc *PlanCache) Compiles() uint64 { return pc.compiles.Load() }
-
-// Execs reports how many plan executions the result cache actually ran:
-// one per distinct (query, generation) while its result stays kept, no
-// matter how many sessions request it.
-func (pc *PlanCache) Execs() uint64 { return pc.execs.Load() }

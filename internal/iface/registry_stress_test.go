@@ -151,7 +151,7 @@ func TestRegistryStress(t *testing.T) {
 	if n := pc.Compiles(); n != uint64(len(values)) {
 		t.Fatalf("shared plan compiles = %d, want %d", n, len(values))
 	}
-	if n := pc.Execs(); n != uint64(len(values)) {
+	if n := pc.execs.Load(); n != uint64(len(values)) {
 		t.Fatalf("shared executions = %d, want %d", n, len(values))
 	}
 	if st.Cache.ResultMisses != uint64(len(values)) {

@@ -289,7 +289,7 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	if n := pc.Compiles(); n != 1 {
 		t.Fatalf("compiles = %d, want 1 (one distinct resolved query)", n)
 	}
-	if n := pc.Execs(); n != 1 {
+	if n := pc.execs.Load(); n != 1 {
 		t.Fatalf("execs = %d, want 1 (sessions b and c served without executing)", n)
 	}
 	st := reg.Stats()
@@ -307,7 +307,7 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	if n, x := pc.Compiles(), pc.Execs(); n != 2 || x != 2 {
+	if n, x := pc.Compiles(), pc.execs.Load(); n != 2 || x != 2 {
 		t.Fatalf("compiles, execs = %d, %d, want 2, 2", n, x)
 	}
 }

@@ -38,13 +38,13 @@ func TestSharedResultAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs := plans.Execs()
+	execs := plans.execs.Load()
 	got, err := b.Result(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != first || plans.Execs() != execs {
-		t.Fatalf("session B executed (%d -> %d execs) instead of reading A's result", execs, plans.Execs())
+	if got != first || plans.execs.Load() != execs {
+		t.Fatalf("session B executed (%d -> %d execs) instead of reading A's result", execs, plans.execs.Load())
 	}
 	if st := b.Stats(); st.ResultHits != 1 || st.ResultMisses != 0 || st.PlanHits+st.PlanMisses != 0 {
 		t.Fatalf("B stats = %+v, want one result hit and nothing else", st)
@@ -55,8 +55,8 @@ func TestSharedResultAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plans.Execs() != execs+1 {
-		t.Fatalf("after a write to T: %d execs, want %d", plans.Execs(), execs+1)
+	if plans.execs.Load() != execs+1 {
+		t.Fatalf("after a write to T: %d execs, want %d", plans.execs.Load(), execs+1)
 	}
 	if sumCount(after) != sumCount(first)+1 {
 		t.Fatalf("after a write to T: count %v, want %v", sumCount(after), sumCount(first)+1)
@@ -74,8 +74,8 @@ func TestSharedResultAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != after || plans.Execs() != execs+1 {
-		t.Fatalf("after an unrelated write: A re-executed (%d execs)", plans.Execs())
+	if again != after || plans.execs.Load() != execs+1 {
+		t.Fatalf("after an unrelated write: A re-executed (%d execs)", plans.execs.Load())
 	}
 }
 
@@ -118,7 +118,7 @@ func TestSharedResultSingleFlight(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if x := plans.Execs(); x != 1 {
+	if x := plans.execs.Load(); x != 1 {
 		t.Fatalf("%d concurrent sessions caused %d execs, want 1", n, x)
 	}
 	var hits, misses uint64
@@ -170,13 +170,13 @@ func TestResultCacheChargedByCells(t *testing.T) {
 		}
 	}
 	// The most recent result is still served; the oldest was dropped.
-	execs := pc.Execs()
+	execs := pc.execs.Load()
 	read(199)
-	if pc.Execs() != execs {
+	if pc.execs.Load() != execs {
 		t.Fatal("the most recent result was dropped")
 	}
 	read(0)
-	if pc.Execs() != execs+1 {
+	if pc.execs.Load() != execs+1 {
 		t.Fatal("the oldest result was kept over budget")
 	}
 }
