@@ -16,13 +16,15 @@
 // widget/binding state, managed by a registry that enforces -max-sessions
 // (LRU eviction) and -session-ttl (idle expiry). Compiled query plans and
 // their results depend only on the resolved query and the tables it read,
-// so one shared single-flight cache serves them to every session.
-// Aggregated per-session cache counters plus registry occupancy/eviction
-// counts are exposed at /stats, and a lock-free liveness probe at /healthz.
+// so one shared single-flight cache serves them to every session, and
+// counts the traffic of all of them. Its counters plus registry
+// occupancy/eviction counts are exposed at /stats, everything else the
+// server measures at /metrics (-metrics), and a lock-free liveness probe
+// at /healthz.
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes
 // immediately, in-flight requests drain for up to -drain (default 10s), and
-// the registry then drains all sessions.
+// the registry then closes to new sessions.
 package main
 
 import (
@@ -123,7 +125,7 @@ func main() {
 	stopTailers()
 	stopSweeper()
 	stopDebug()
-	reg.Close() // drain all sessions into the final aggregate
+	reg.Close() // refuse new sessions; the aggregate lives in the shared plan cache
 	if st := reg.Stats(); st.Created > 0 {
 		log.Printf("pi2serve: served %d sessions (%d evicted, %d expired); cache %+v",
 			st.Created, st.EvictedLRU, st.ExpiredTTL, st.Cache)

@@ -1,8 +1,8 @@
 package difftree
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -79,7 +79,7 @@ func (v BindValue) key(b *strings.Builder) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(b, "%d", ix)
+			b.WriteString(strconv.Itoa(ix))
 		}
 		b.WriteByte('}')
 	case v.Lit != "" || v.LitKind != KindInvalid:
@@ -87,9 +87,16 @@ func (v BindValue) key(b *strings.Builder) {
 		// bindings) cannot forge the key's structural separators and make
 		// two distinct binding states render the same canonical key — the
 		// interaction result cache compares these keys for exact equality.
-		fmt.Fprintf(b, "%s:%d:%s", v.LitKind, len(v.Lit), v.Lit)
+		b.WriteString(v.LitKind.String())
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(len(v.Lit)))
+		b.WriteByte(':')
+		b.WriteString(v.Lit)
 	default:
-		fmt.Fprintf(b, "i%d/%t", v.Index, v.Present)
+		b.WriteByte('i')
+		b.WriteString(strconv.Itoa(v.Index))
+		b.WriteByte('/')
+		b.WriteString(strconv.FormatBool(v.Present))
 	}
 }
 
@@ -105,7 +112,8 @@ func (b Binding) KeyString() string {
 		if i > 0 {
 			sb.WriteByte(';')
 		}
-		fmt.Fprintf(&sb, "%d=", id)
+		sb.WriteString(strconv.Itoa(id))
+		sb.WriteByte('=')
 		v := b[id]
 		v.key(&sb)
 	}

@@ -481,7 +481,7 @@ func bitmapSweep(nrows int, hits []int) []int {
 }
 
 // IndexCounters is a monotonic snapshot of the DB's access-path activity,
-// surfaced through /metrics and the /stats obs object.
+// surfaced through /metrics.
 type IndexCounters struct {
 	Builds      uint64 `json:"builds"`       // hash + sorted index builds
 	Hits        uint64 `json:"hits"`         // plans served by an index (scans and join builds)

@@ -57,8 +57,7 @@ func (db *DB) Append(table string, rows [][]Value) error {
 func (db *DB) ChangelogDepth() int { return 0 }
 
 // AppendCounters is a monotonic snapshot of the append path's activity,
-// surfaced through /metrics and the /stats obs object next to IndexCounters
-// and ColumnarCounters.
+// surfaced through /metrics next to IndexCounters and ColumnarCounters.
 type AppendCounters struct {
 	Appends       uint64 `json:"appends"`       // committed Append batches
 	Rows          uint64 `json:"rows"`          // total rows across those batches

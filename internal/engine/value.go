@@ -218,7 +218,7 @@ type DB struct {
 }
 
 // ColumnarCounters is a monotonic snapshot of the columnar layer's activity,
-// surfaced through /metrics and the /stats obs object next to IndexCounters.
+// surfaced through /metrics next to IndexCounters.
 type ColumnarCounters struct {
 	ColumnBuilds uint64 `json:"column_builds"` // per-column storage builds
 	Batches      uint64 `json:"batches"`       // vectorized batches processed

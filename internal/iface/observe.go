@@ -3,6 +3,7 @@ package iface
 import (
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pi2/internal/engine"
@@ -36,9 +37,6 @@ type ServerObs struct {
 	slowTotal *obs.Counter
 	lat       map[string]*obs.Histogram
 	phase     map[string]*obs.Histogram
-	engineIdx func() engine.IndexCounters    // set by ObserveEngine; nil until then
-	engineCol func() engine.ColumnarCounters // set by ObserveEngine; nil until then
-	engineApp func() engine.AppendCounters   // set by ObserveEngine; nil until then
 }
 
 // NewServerObs builds the serving instruments on m (which must be non-nil)
@@ -113,21 +111,12 @@ func phaseOf(name string) string {
 	return name
 }
 
-// statsExt feeds the /stats JSON extension fields.
-func (o *ServerObs) statsExt() (uptimeSeconds float64, inFlight int64, requests map[string]uint64) {
-	requests = make(map[string]uint64, len(o.lat))
-	for p, h := range o.lat {
-		requests[p] = h.Count()
-	}
-	return time.Since(o.start).Seconds(), o.inFlight.Value(), requests
-}
-
 // ObserveEngine exposes the engine's access-path instrumentation for db:
 // func-backed counters for index builds, index hits, and statistics builds
 // (read at scrape time from the DB's own atomics — no double counting, no
 // extra work on the query path) plus a per-kind build-latency histogram fed
-// by the engine's build hook. The counters also surface in /stats as the
-// obs object's "index" field. Either nil is a no-op.
+// by the engine's build hook, and likewise for the columnar and live-table
+// layers. Either nil is a no-op.
 func (o *ServerObs) ObserveEngine(db *engine.DB) {
 	if o == nil || db == nil {
 		return
@@ -155,7 +144,6 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 			h.ObserveDuration(d)
 		}
 	})
-	o.engineIdx = db.IndexCounters
 
 	// Columnar-layer instruments: func-backed counters over the engine's
 	// atomics, plus a rows-per-batch histogram fed by the batch hook. The
@@ -172,7 +160,6 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 	db.OnBatch(func(rows int) {
 		batchHist.Observe(float64(rows))
 	})
-	o.engineCol = db.ColumnarCounters
 
 	// Live-table instruments: append traffic and per-table invalidation
 	// counters. The table label set is closed at registration time (mirrors
@@ -191,57 +178,40 @@ func (o *ServerObs) ObserveEngine(db *engine.DB) {
 			return float64(db.InvalidationCount(name))
 		}, "table", name)
 	}
-	o.engineApp = db.AppendCounters
 }
 
-// RegisterServingMetrics exposes a Registry's session and cache counters on
-// m as func-backed metrics, read from the same atomics /stats reports — no
-// double counting, no extra bookkeeping on the serving path. Either nil is
+// RegisterServingMetrics exposes a Registry's session counters and its
+// shared PlanCache's counters on m as func-backed metrics, read at scrape
+// time from the same atomics /stats reports — no double counting, no
+// bookkeeping on the serving path, and no session is read. Without a shared
+// PlanCache (RegistryOptions.Plans) the cache series read 0. Either nil is
 // a no-op.
 func RegisterServingMetrics(m *obs.Registry, reg *Registry) {
 	if m == nil || reg == nil {
 		return
 	}
+	counter := func(name, help string, c *atomic.Uint64, labels ...string) {
+		m.CounterFunc(name, help, func() float64 { return float64(c.Load()) }, labels...)
+	}
 	m.GaugeFunc("pi2_sessions_live", "Sessions currently resident in the registry.", func() float64 {
-		return float64(reg.Stats().LiveSessions)
+		return float64(reg.Len())
 	})
-	m.CounterFunc("pi2_sessions_created_total", "Sessions built by the factory.", func() float64 {
-		return float64(reg.Stats().Created)
-	})
-	m.CounterFunc("pi2_sessions_hits_total", "Acquires answered by a live session.", func() float64 {
-		return float64(reg.Stats().Hits)
-	})
-	m.CounterFunc("pi2_sessions_evicted_total", "Sessions evicted from the registry.", func() float64 {
-		return float64(reg.Stats().EvictedLRU)
-	}, "reason", "lru")
-	m.CounterFunc("pi2_sessions_evicted_total", "Sessions evicted from the registry.", func() float64 {
-		return float64(reg.Stats().ExpiredTTL)
-	}, "reason", "ttl")
-	m.GaugeFunc("pi2_shared_plans", "Compiled plans resident in the shared cross-session cache.", func() float64 {
-		return float64(reg.Stats().SharedPlans)
-	})
-	m.CounterFunc("pi2_plan_compiles_total", "Queries compiled by the shared plan cache.", func() float64 {
-		return float64(reg.Stats().PlanCompiles)
-	})
-	registerCacheMetrics(m, func() CacheStats { return reg.Stats().Cache })
-}
+	counter("pi2_sessions_created_total", "Sessions built by the factory.", &reg.created)
+	counter("pi2_sessions_hits_total", "Acquires answered by a live session.", &reg.hits)
+	counter("pi2_sessions_evicted_total", "Sessions evicted from the registry.", &reg.evictedLRU, "reason", "lru")
+	counter("pi2_sessions_evicted_total", "Sessions evicted from the registry.", &reg.expiredTTL, "reason", "ttl")
 
-func registerCacheMetrics(m *obs.Registry, stats func() CacheStats) {
-	hit := func(layer string, f func(CacheStats) uint64) {
-		m.CounterFunc("pi2_cache_hits_total", "Interaction-cache hits, by layer.", func() float64 {
-			return float64(f(stats()))
-		}, "layer", layer)
+	pc := reg.plans
+	if pc == nil {
+		pc = NewPlanCache() // stays empty: its series read 0
 	}
-	miss := func(layer string, f func(CacheStats) uint64) {
-		m.CounterFunc("pi2_cache_misses_total", "Interaction-cache misses, by layer.", func() float64 {
-			return float64(f(stats()))
-		}, "layer", layer)
-	}
-	hit("result", func(c CacheStats) uint64 { return c.ResultHits })
-	miss("result", func(c CacheStats) uint64 { return c.ResultMisses })
-	hit("plan", func(c CacheStats) uint64 { return c.PlanHits })
-	miss("plan", func(c CacheStats) uint64 { return c.PlanMisses })
-	m.CounterFunc("pi2_cache_invalidations_total", "Cache flushes triggered by DB mutation.", func() float64 {
-		return float64(stats().Invalidations)
+	m.GaugeFunc("pi2_shared_plans", "Compiled plans resident in the shared cross-session cache.", func() float64 {
+		return float64(pc.Len())
 	})
+	counter("pi2_plan_compiles_total", "Queries compiled by the shared plan cache.", &pc.compiles)
+	counter("pi2_cache_hits_total", "Interaction-cache hits, by layer.", &pc.resultHits, "layer", "result")
+	counter("pi2_cache_misses_total", "Interaction-cache misses, by layer.", &pc.resultMisses, "layer", "result")
+	counter("pi2_cache_hits_total", "Interaction-cache hits, by layer.", &pc.planHits, "layer", "plan")
+	counter("pi2_cache_misses_total", "Interaction-cache misses, by layer.", &pc.compiles, "layer", "plan")
+	counter("pi2_cache_invalidations_total", "Cache flushes triggered by DB mutation.", &pc.invalidations)
 }

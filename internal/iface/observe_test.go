@@ -6,11 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"pi2/internal/engine"
 	"pi2/internal/obs"
+	"pi2/internal/sqlparser"
 )
 
 // newObsHandler builds a registry-mode server with full observability
@@ -131,86 +134,140 @@ func TestIndexRecordsPhaseHistograms(t *testing.T) {
 	}
 }
 
-// TestStatsJSONByteCompatible pins the contract that attaching observability
-// only appends to the /stats object: the uninstrumented encoding minus its
-// closing brace must be a byte prefix of the instrumented encoding, for an
-// empty registry and for a one-entry registry.
-func TestStatsJSONByteCompatible(t *testing.T) {
-	ifc, ctx := buildSliderInterface(t)
-
-	t.Run("registry", func(t *testing.T) {
-		pc := NewPlanCache()
-		factory := func() (*Session, error) { return NewSessionWithPlans(ifc, ctx, testDB, pc) }
-		reg := NewRegistry(factory, RegistryOptions{Plans: pc})
-		plain := doReq(NewRegistryServer(reg).Handler(), "GET", "/stats", nil).Body.String()
-		instr := doReq(NewRegistryServer(reg).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
-			"GET", "/stats", nil).Body.String()
-		prefix := strings.TrimSuffix(strings.TrimSpace(plain), "}")
-		if !strings.HasPrefix(instr, prefix) {
-			t.Fatalf("instrumented /stats does not extend the plain encoding:\nplain: %s\ninstr: %s", plain, instr)
+// scrape fetches /metrics and parses each sample line into series name
+// (with its labels, as exposed) -> value.
+func scrape(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	rr := doReq(h, "GET", "/metrics", nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("/metrics status = %d", rr.Code)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
-	})
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
 
-	t.Run("single", func(t *testing.T) {
-		sess, err := NewSession(ifc, ctx, testDB)
+// Every figure /metrics reports for the server and the engine equals its
+// source: the request middleware's own state, and the DB's counters.
+func TestMetricsMatchSources(t *testing.T) {
+	plans := NewPlanCache()
+	sess, db := liveSession(t, plans)
+	reg := NewRegistry(func() (*Session, error) {
+		return NewSessionWithPlans(sess.Ifc, sess.Ctx, db, plans)
+	}, RegistryOptions{Plans: plans})
+	m := obs.NewRegistry()
+	before := time.Now()
+	o := NewServerObs(m, nil)
+	after := time.Now()
+	RegisterServingMetrics(m, reg)
+	o.ObserveEngine(db)
+	h := NewRegistryServer(reg).WithObs(o).WithIngest(db).Handler()
+
+	doReq(h, "GET", "/?session=alice", nil)
+	doReq(h, "POST", "/widget", url.Values{"session": {"alice"}, "id": {"w0"}, "value": {"3"}})
+	doReq(h, "GET", "/?session=alice", nil)
+	doReq(h, "GET", "/stats", nil)
+	for _, body := range []string{`{"p": 1, "a": 3, "b": 2}` + "\n", `{"p": 2, "a": 1, "b": 1}` + "\n" + `{"p": 3, "a": 3, "b": 5}` + "\n"} {
+		req := httptest.NewRequest("POST", "/ingest?table=T", strings.NewReader(body))
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/ingest status = %d: %s", rr.Code, rr.Body.String())
+		}
+	}
+	doReq(h, "GET", "/?session=bob", nil)
+	// A grouped read over a large table runs the columnar path and builds
+	// indexes and statistics, so those series move too.
+	for _, q := range []string{
+		"SELECT hour, count(*) FROM flights WHERE dist > 500 GROUP BY hour",
+		"SELECT hour, avg(dist) FROM flights WHERE delay = 45 GROUP BY hour",
+	} {
+		plan, err := engine.Prepare(db, sqlparser.MustParse(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := oneSessionRegistry(t, sess)
-		plain := doReq(NewRegistryServer(reg).Handler(), "GET", "/stats", nil).Body.String()
-		instr := doReq(NewRegistryServer(reg).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
-			"GET", "/stats", nil).Body.String()
-		prefix := strings.TrimSuffix(strings.TrimSpace(plain), "}")
-		if !strings.HasPrefix(instr, prefix) {
-			t.Fatalf("instrumented /stats does not extend the plain encoding:\nplain: %s\ninstr: %s", plain, instr)
+		if _, err := plan.Exec(); err != nil {
+			t.Fatal(err)
 		}
-	})
-}
+	}
 
-func TestStatsObsFields(t *testing.T) {
-	h, _, _ := newObsHandler(t, nil)
-	doReq(h, "GET", "/?session=alice", nil)
-	rr := doReq(h, "GET", "/stats", nil)
-	var got struct {
-		LiveSessions int `json:"live_sessions"`
-		Obs          struct {
-			UptimeSeconds float64           `json:"uptime_seconds"`
-			InFlight      int64             `json:"in_flight"`
-			Requests      map[string]uint64 `json:"requests"`
-			Index         *struct {
-				Builds uint64 `json:"builds"`
-				Hits   uint64 `json:"hits"`
-			} `json:"index"`
-			Columnar *struct {
-				ColumnBuilds uint64 `json:"column_builds"`
-				Batches      uint64 `json:"batches"`
-				BatchRows    uint64 `json:"batch_rows"`
-			} `json:"columnar"`
-		} `json:"obs"`
+	lo := time.Since(after).Seconds()
+	got := scrape(t, h)
+	hi := time.Since(before).Seconds()
+	if v := got["pi2_uptime_seconds"]; v < lo || v > hi {
+		t.Errorf("pi2_uptime_seconds = %v, want within [%v, %v]", v, lo, hi)
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
-		t.Fatalf("decode /stats: %v\n%s", err, rr.Body.String())
+	// The scrape runs inside the middleware, so it counts itself as in flight.
+	if v := got["pi2_http_in_flight"]; v != 1 {
+		t.Errorf("pi2_http_in_flight = %v, want 1 (the scrape itself)", v)
 	}
-	if got.LiveSessions != 1 {
-		t.Errorf("live_sessions = %d, want 1", got.LiveSessions)
+	for path, want := range map[string]float64{"/": 3, "/widget": 1, "/stats": 1, "/ingest": 2, "/metrics": 0, "/sql": 0} {
+		for _, series := range []string{
+			`pi2_http_requests_total{path="` + path + `"}`,
+			`pi2_http_request_seconds_count{path="` + path + `"}`,
+		} {
+			if v, ok := got[series]; !ok || v != want {
+				t.Errorf("%s = %v (exposed %v), want %v", series, v, ok, want)
+			}
+		}
 	}
-	if got.Obs.UptimeSeconds < 0 {
-		t.Errorf("uptime_seconds = %v", got.Obs.UptimeSeconds)
+
+	idx, col, app := db.IndexCounters(), db.ColumnarCounters(), db.AppendCounters()
+	if idx.Builds == 0 || idx.StatsBuilds == 0 || col.ColumnBuilds == 0 || col.Batches == 0 || app.Appends != 2 {
+		t.Fatalf("workload left engine counters idle: %+v %+v %+v", idx, col, app)
 	}
-	if got.Obs.Requests["/"] != 1 {
-		t.Errorf(`requests["/"] = %d, want 1`, got.Obs.Requests["/"])
+	var invalidations float64
+	for _, name := range db.TableNames() {
+		v, ok := got[`pi2_engine_table_invalidations_total{table="`+name+`"}`]
+		if !ok {
+			t.Errorf("no invalidation series for table %s", name)
+		}
+		invalidations += v
 	}
-	// /stats runs inside the middleware, so it counts itself as in flight.
-	if got.Obs.InFlight != 1 {
-		t.Errorf("in_flight = %d, want 1 (the /stats request itself)", got.Obs.InFlight)
+	for series, want := range map[string]uint64{
+		"pi2_engine_index_builds_total":  idx.Builds,
+		"pi2_engine_index_hits_total":    idx.Hits,
+		"pi2_engine_stats_builds_total":  idx.StatsBuilds,
+		"pi2_engine_column_builds_total": col.ColumnBuilds,
+		"pi2_engine_batches_total":       col.Batches,
+		"pi2_engine_batch_rows_count":    col.Batches,
+		"pi2_engine_batch_rows_sum":      col.BatchRows,
+		"pi2_engine_appends_total":       app.Appends,
+		"pi2_engine_append_rows_total":   app.Rows,
+	} {
+		if v, ok := got[series]; !ok || v != float64(want) {
+			t.Errorf("%s = %v (exposed %v), want %d", series, v, ok, want)
+		}
 	}
-	// With the engine observed, the obs object carries the index counters
-	// and the columnar counters.
-	if got.Obs.Index == nil {
-		t.Error("obs.index missing from /stats with ObserveEngine attached")
+	if invalidations != float64(app.Invalidations) || app.Invalidations == 0 {
+		t.Errorf("per-table invalidations sum to %v, want %d", invalidations, app.Invalidations)
 	}
-	if got.Obs.Columnar == nil {
-		t.Error("obs.columnar missing from /stats with ObserveEngine attached")
+
+	st := reg.Stats()
+	for series, want := range map[string]uint64{
+		"pi2_sessions_created_total":             st.Created,
+		"pi2_plan_compiles_total":                st.PlanCompiles,
+		`pi2_cache_hits_total{layer="result"}`:   st.Cache.ResultHits,
+		`pi2_cache_misses_total{layer="result"}`: st.Cache.ResultMisses,
+		`pi2_cache_hits_total{layer="plan"}`:     st.Cache.PlanHits,
+		`pi2_cache_misses_total{layer="plan"}`:   st.Cache.PlanMisses,
+		"pi2_cache_invalidations_total":          st.Cache.Invalidations,
+		"pi2_sessions_live":                      uint64(st.LiveSessions),
+		"pi2_shared_plans":                       uint64(st.SharedPlans),
+	} {
+		if v, ok := got[series]; !ok || v != float64(want) {
+			t.Errorf("%s = %v (exposed %v), want %d", series, v, ok, want)
+		}
 	}
 }
 

@@ -33,10 +33,63 @@ import (
 // bounds the number of resident plans, and results are charged rows ×
 // columns against a registry-wide budget (maxResultCells), which drops the
 // results of the shard's least recently used entries first.
+//
+// The cache also counts the serving traffic of every session it serves, in
+// lock-free atomics (see CacheStats): each read is counted once, here, so
+// the counts need no per-session bookkeeping and survive session eviction.
 type PlanCache struct {
-	shards   [planShards]planShard
-	compiles atomic.Uint64 // Prepare calls actually run (for tests/stats)
-	execs    atomic.Uint64 // result executions actually run (for tests)
+	shards [planShards]planShard
+
+	resultHits    atomic.Uint64
+	resultMisses  atomic.Uint64
+	planHits      atomic.Uint64
+	invalidations atomic.Uint64
+	compiles      atomic.Uint64 // Prepare calls actually run: the plan misses
+	execs         atomic.Uint64 // result executions actually run (for tests)
+}
+
+// CacheStats counts the serving traffic of one PlanCache, summed over every
+// session it serves.
+//
+// A result hit is a tree read served without executing on the request's
+// behalf: from a result any session executed, or by waiting for one in
+// flight. A result miss is a read that executed, or failed.
+//
+// A plan miss is one compilation (Prepare). A plan hit is a request that
+// used a resident plan it did not compile: an EXPLAIN, or a read whose
+// entry holds a plan but no result — the result was dropped for the cell
+// budget, or not kept because its execution failed. Since the result is
+// cached beside its plan, a read that finds the plan almost always finds
+// the result too, so plan hits are rare on the read path, and PlanHits over
+// all plan lookups says little about plan reuse; ResultHits and PlanMisses
+// carry that.
+type CacheStats struct {
+	ResultHits    uint64
+	ResultMisses  uint64
+	PlanHits      uint64
+	PlanMisses    uint64
+	Invalidations uint64 // kept results discarded because a table they read mutated
+}
+
+// stats returns a snapshot of the traffic counters without taking a lock.
+func (pc *PlanCache) stats() CacheStats {
+	return CacheStats{
+		ResultHits:    pc.resultHits.Load(),
+		ResultMisses:  pc.resultMisses.Load(),
+		PlanHits:      pc.planHits.Load(),
+		PlanMisses:    pc.compiles.Load(),
+		Invalidations: pc.invalidations.Load(),
+	}
+}
+
+// countResult counts one served tree read: a miss when the request
+// executed it.
+func (pc *PlanCache) countResult(executed bool) {
+	if executed {
+		pc.resultMisses.Add(1)
+	} else {
+		pc.resultHits.Add(1)
+	}
 }
 
 const (
@@ -98,21 +151,24 @@ func NewPlanCache() *PlanCache {
 const planStaleRetries = 3
 
 // Get returns the compiled plan for ast, compiling at most once across all
-// sessions. hit reports whether the plan was compiled by another request
-// (the caller may have waited for its in-flight compilation, but no
+// sessions. It counts a plan hit when the plan was compiled by another
+// request (the caller may have waited for its in-flight compilation, but no
 // compilation ran on its behalf).
-func (pc *PlanCache) Get(db *engine.DB, ast *dt.Node) (plan *engine.Plan, hit bool, err error) {
-	e, _, compiled, _ := pc.entry(db, ast)
-	return e.plan, !compiled, e.err
+func (pc *PlanCache) Get(db *engine.DB, ast *dt.Node) (*engine.Plan, error) {
+	e, _, compiled := pc.entry(db, ast)
+	if !compiled {
+		pc.planHits.Add(1)
+	}
+	return e.plan, e.err
 }
 
 // entry returns the resident entry for ast with its plan compiled. Resident
 // plans are validated against the generations of the tables they read
 // (engine.Plan.Stale); a stale entry is replaced in place, dropping its
-// result, and recompiled, which touches only the written table's entries.
-// compiled reports whether this call ran Prepare; invalidated whether it
-// replaced a stale entry that held a kept result.
-func (pc *PlanCache) entry(db *engine.DB, ast *dt.Node) (e *planEntry, sh *planShard, compiled, invalidated bool) {
+// result (counted as an invalidation when one was kept), and recompiled,
+// which touches only the written table's entries. compiled reports whether
+// this call ran Prepare.
+func (pc *PlanCache) entry(db *engine.DB, ast *dt.Node) (e *planEntry, sh *planShard, compiled bool) {
 	key := dt.Hash(ast)
 	sh = &pc.shards[key%planShards]
 	for attempt := 0; ; attempt++ {
@@ -135,13 +191,15 @@ func (pc *PlanCache) entry(db *engine.DB, ast *dt.Node) (e *planEntry, sh *planS
 			// another session may have already swapped it) and recompile.
 			sh.mu.Lock()
 			if cur, live := sh.lru.get(key); live && cur == e {
-				invalidated = invalidated || (e.res != nil && e.res.kept)
+				if e.res != nil && e.res.kept {
+					pc.invalidations.Add(1)
+				}
 				sh.put(key, &planEntry{ast: ast})
 			}
 			sh.mu.Unlock()
 			continue
 		}
-		return e, sh, compiled, invalidated
+		return e, sh, compiled
 	}
 }
 
@@ -223,6 +281,18 @@ func (sh *planShard) drop(e *planEntry) {
 			sh.cells -= c.cells
 		}
 		e.res = nil
+	}
+}
+
+// clear drops every entry and its result, keeping the counters. No
+// execution may be in flight.
+func (pc *PlanCache) clear() {
+	for i := range pc.shards {
+		sh := &pc.shards[i]
+		sh.mu.Lock()
+		sh.lru = newLRU[uint64, *planEntry](maxSharedPlansPerShd)
+		sh.cells = 0
+		sh.mu.Unlock()
 	}
 }
 

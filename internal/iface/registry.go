@@ -24,20 +24,20 @@ type RegistryOptions struct {
 	// TTL evicts sessions idle longer than this (checked on Acquire and
 	// Sweep). 0 disables idle expiry.
 	TTL time.Duration
-	// Plans, when set, is reported in Stats (occupancy and compile count).
-	// The registry does not manage it; the factory decides whether sessions
-	// share it (see NewSessionWithPlans).
+	// Plans is the PlanCache the factory's sessions share (see
+	// NewSessionWithPlans). Stats reports its occupancy, compile count and
+	// traffic counters, which read zero when Plans is nil. The registry
+	// does not manage it: the factory decides which cache sessions use.
 	Plans *PlanCache
 	// Now is the clock, injectable for TTL tests. nil means time.Now.
 	Now func() time.Time
 }
 
 // RegistryStats is the multi-session serving aggregate: registry occupancy
-// and eviction counters plus the cache counters summed over every session
-// that ever lived — live sessions are read via their lock-free atomic
-// counters, and an evicted session's counter block is retained (and keeps
-// absorbing writes from requests that were in flight at eviction time), so
-// eviction never loses traffic accounting.
+// and eviction counters plus the traffic counters of the shared PlanCache
+// (RegistryOptions.Plans). Every session's reads are counted in that cache,
+// so the aggregate covers sessions evicted long ago, and requests still
+// holding them, without tracking any session.
 type RegistryStats struct {
 	LiveSessions int    `json:"live_sessions"`
 	Created      uint64 `json:"created"`      // sessions built by the factory
@@ -47,7 +47,7 @@ type RegistryStats struct {
 	SharedPlans  int    `json:"shared_plans"` // resident entries in the shared PlanCache
 	PlanCompiles uint64 `json:"plan_compiles"`
 
-	Cache CacheStats `json:"cache"` // summed over live + retired sessions
+	Cache CacheStats `json:"cache"` // the shared PlanCache's traffic counters
 }
 
 // Registry serves per-user sessions created on demand: Acquire(key) returns
@@ -66,10 +66,10 @@ type RegistryStats struct {
 // atomic timestamp, so no list juggling under a write lock), and all query
 // execution happens after release, under the per-session mutex. Sessions
 // therefore never serialize on each other — two users brushing two sessions
-// run concurrently, contending only for microseconds on the table lock and,
-// on plan misses, on one shard of the shared PlanCache. The registry never
-// calls into a session while holding its own lock, except to read the
-// lock-free atomic stats counters of sessions it retires.
+// run concurrently, contending only for microseconds on the table lock and
+// on one shard of the shared PlanCache. The registry never calls into a
+// session: Stats reads the registry's own counters and the shared
+// PlanCache, whose traffic counters are atomics.
 //
 // An evicted session stays valid for requests already holding its pointer
 // (its own mutex still protects it); it has merely left the table, so the
@@ -85,35 +85,12 @@ type Registry struct {
 	mu       sync.RWMutex
 	sessions map[string]*regEntry
 	closed   bool
-	// mutated only under mu (write); read under mu (read or write)
-	created, evictedLRU, expiredTTL uint64
-	// retired keeps the atomic counter blocks (not numeric snapshots) of
-	// recently evicted sessions: a request that was mid-interaction when
-	// its session was evicted keeps counting into the same block, so the
-	// aggregate is exact once requests quiesce — eviction never loses
-	// traffic. To keep memory bounded on a long-running server, blocks
-	// older than retiredGrace (by then any straggler request has long
-	// finished) are folded into retiredBase and dropped; see
-	// compactRetiredLocked.
-	retired     []retiredEntry
-	retiredBase CacheStats
+	// Bumped only under mu (write), so Stats reads them consistently with
+	// the session table; atomic so metrics scrapes read them lock-free.
+	created, evictedLRU, expiredTTL atomic.Uint64
 
 	hits atomic.Uint64 // bumped on the read-locked fast path
 }
-
-// retiredEntry is one evicted session's counter block plus its retirement
-// time; retired stays append-ordered by time.
-type retiredEntry struct {
-	stats *sessionStats
-	at    time.Time
-}
-
-// retiredGrace is how long an evicted session's counter block stays live
-// before being folded into the base aggregate. Requests holding an evicted
-// session finish in well under this, so folding loses nothing in practice;
-// a pathological request still running a minute past eviction would lose
-// only its own post-fold counter bumps, never correctness.
-const retiredGrace = time.Minute
 
 // regEntry is one live session. lastAccess is atomic so the Acquire fast
 // path can refresh recency under the registry's read lock.
@@ -199,7 +176,7 @@ func (r *Registry) Acquire(key string) (*Session, error) {
 	e = &regEntry{key: key, sess: sess}
 	e.lastAccess.Store(now.UnixNano())
 	r.sessions[key] = e
-	r.created++
+	r.created.Add(1)
 	return sess, nil
 }
 
@@ -225,35 +202,16 @@ func (r *Registry) lruVictimLocked() *regEntry {
 	return victim
 }
 
-// retireLocked removes the entry, keeps its counter block in the retired
-// aggregate, and bumps the given eviction counter. Nothing here touches the
-// session mutex, so retiring never blocks on an in-flight request still
-// using the session.
-func (r *Registry) retireLocked(e *regEntry, counter *uint64) {
+// retireLocked removes the entry and bumps the given eviction counter.
+// Nothing here touches the session, so retiring never blocks on an
+// in-flight request still using it.
+func (r *Registry) retireLocked(e *regEntry, counter *atomic.Uint64) {
 	delete(r.sessions, e.key)
-	now := r.now()
-	r.compactRetiredLocked(now)
-	r.retired = append(r.retired, retiredEntry{stats: e.sess.stats, at: now})
-	*counter++
-}
-
-// compactRetiredLocked folds counter blocks retired longer than
-// retiredGrace ago into retiredBase and drops them, bounding the retired
-// list to roughly one grace period of evictions. Called on every retire
-// and sweep, so sustained eviction churn compacts continuously.
-func (r *Registry) compactRetiredLocked(now time.Time) {
-	i := 0
-	for ; i < len(r.retired) && now.Sub(r.retired[i].at) > retiredGrace; i++ {
-		r.retiredBase.Add(r.retired[i].stats.snapshot())
-	}
-	if i > 0 {
-		r.retired = append(r.retired[:0], r.retired[i:]...)
-	}
+	counter.Add(1)
 }
 
 // sweepLocked retires every TTL-expired session, returning how many.
 func (r *Registry) sweepLocked(now time.Time) int {
-	r.compactRetiredLocked(now)
 	if r.ttl <= 0 {
 		return 0
 	}
@@ -282,45 +240,34 @@ func (r *Registry) Len() int {
 	return len(r.sessions)
 }
 
-// Stats aggregates registry occupancy, eviction counters, and cache
-// counters across every session, live and retired. Live sessions are read
-// through their atomic counters — no session mutex is taken, so the
-// aggregate never stalls behind (or stalls) a long-running interaction.
+// Stats reports registry occupancy and eviction counters plus the shared
+// PlanCache's occupancy and traffic. It reads no session, so it never
+// stalls behind (or stalls) a long-running interaction.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	st := RegistryStats{
 		LiveSessions: len(r.sessions),
-		Created:      r.created,
+		Created:      r.created.Load(),
 		Hits:         r.hits.Load(),
-		EvictedLRU:   r.evictedLRU,
-		ExpiredTTL:   r.expiredTTL,
+		EvictedLRU:   r.evictedLRU.Load(),
+		ExpiredTTL:   r.expiredTTL.Load(),
 	}
-	st.Cache.Add(r.retiredBase)
-	for _, re := range r.retired {
-		st.Cache.Add(re.stats.snapshot())
-	}
-	for _, e := range r.sessions {
-		st.Cache.Add(e.sess.Stats())
-	}
+	r.mu.RUnlock()
 	if r.plans != nil {
 		st.SharedPlans = r.plans.Len()
-		st.PlanCompiles = r.plans.Compiles()
+		st.Cache = r.plans.stats()
+		st.PlanCompiles = st.Cache.PlanMisses // one load: the two always agree
 	}
 	return st
 }
 
-// Close drains the registry: every live session is retired into the
-// aggregate (their pointers stay valid for requests still finishing) and
-// subsequent Acquires fail with ErrRegistryClosed. Safe to call more than
-// once.
+// Close drains the registry: every live session leaves the table (their
+// pointers stay valid for requests still finishing, which keep counting in
+// the shared PlanCache) and subsequent Acquires fail with
+// ErrRegistryClosed. Safe to call more than once.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	now := r.now()
-	for _, e := range r.sessions {
-		delete(r.sessions, e.key)
-		r.retired = append(r.retired, retiredEntry{stats: e.sess.stats, at: now})
-	}
+	clear(r.sessions)
 }

@@ -16,8 +16,8 @@ import (
 //     result matches the single-session reference for the value just set —
 //     sessions never leak binding state into each other, and an evicted
 //     session recreated mid-stream answers identically.
-//  2. Exact eviction accounting: after quiescence, the aggregate cache
-//     counters over live + retired sessions equal the interactions issued.
+//  2. Exact eviction accounting: after quiescence, the shared cache's
+//     counters equal the interactions issued, evicted sessions included.
 //  3. Race freedom across the registry fast path, eviction, the shared
 //     plan and result cache's single flight, and concurrent same-session
 //     traffic.

@@ -1,7 +1,6 @@
 package iface
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -157,11 +156,13 @@ func TestRegistryEvictedSessionRecreatedIdentically(t *testing.T) {
 	}
 }
 
-// Eviction must not lose cache-traffic accounting: the aggregate over live
-// + retired sessions equals the total interactions ever served.
+// Eviction must not lose cache-traffic accounting: the shared cache's
+// counters equal the total interactions ever served, by live and evicted
+// sessions alike.
 func TestRegistryEvictionAccounting(t *testing.T) {
 	clock := newFakeClock()
-	reg := NewRegistry(sliderFactory(t, nil), RegistryOptions{MaxSessions: 2, Now: clock.now})
+	pc := NewPlanCache()
+	reg := NewRegistry(sliderFactory(t, pc), RegistryOptions{MaxSessions: 2, Now: clock.now, Plans: pc})
 	total := 0
 	for i, key := range []string{"a", "b", "c", "d", "a"} {
 		sess, err := reg.Acquire(key)
@@ -188,45 +189,99 @@ func TestRegistryEvictionAccounting(t *testing.T) {
 	}
 }
 
-// Retired counter blocks must not accumulate forever: once past the grace
-// period they are folded into the base aggregate (keeping totals exact)
-// and dropped, so a long-running server under eviction churn stays flat.
-func TestRegistryRetiredStatsCompacted(t *testing.T) {
+// A request still holding an evicted session keeps counting after the
+// registry has long forgotten the session: its reads land in the shared
+// cache's counters, however late they come.
+func TestRegistryStragglerAfterEvictionCounted(t *testing.T) {
 	clock := newFakeClock()
-	reg := NewRegistry(sliderFactory(t, nil), RegistryOptions{MaxSessions: 1, Now: clock.now})
-	const churn = 20
-	for i := 0; i < churn; i++ {
-		sess, err := reg.Acquire(fmt.Sprintf("u%d", i))
+	pc := NewPlanCache()
+	reg := NewRegistry(sliderFactory(t, pc), RegistryOptions{MaxSessions: 1, Now: clock.now, Plans: pc})
+	straggler, err := reg.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := straggler.Results(); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(time.Second)
+	if _, err := reg.Acquire("b"); err != nil { // cap 1: evicts a
+		t.Fatal(err)
+	}
+	clock.advance(2 * time.Minute)
+	reg.Sweep()
+	for _, v := range []float64{5, 6, 5} {
+		if err := straggler.SetSlider("w0", v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := straggler.Results(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := reg.Stats()
+	if st.EvictedLRU != 1 {
+		t.Fatalf("evictions = %d, want 1", st.EvictedLRU)
+	}
+	if st.Cache.ResultMisses != 3 || st.Cache.ResultHits != 1 {
+		t.Fatalf("cache stats = %+v, want 3 misses + 1 hit (the straggler's reads after the sweep count)", st.Cache)
+	}
+}
+
+// Every compile is one plan miss, whoever asked and however: page reads,
+// plan-only and profiled explains, recompiles after a write, and reads from
+// a session the registry already evicted.
+func TestRegistryPlanMissesEqualCompiles(t *testing.T) {
+	clock := newFakeClock()
+	pc := NewPlanCache()
+	sess, db := liveSession(t, pc)
+	reg := NewRegistry(func() (*Session, error) {
+		return NewSessionWithPlans(sess.Ifc, sess.Ctx, db, pc)
+	}, RegistryOptions{MaxSessions: 2, Now: clock.now, Plans: pc})
+	var evicted *Session
+	for i, key := range []string{"a", "b", "a", "c", "d"} {
+		s, err := reg.Acquire(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Results(); err != nil {
+		if i == 0 {
+			evicted = s
+		}
+		if err := s.SetSlider("w0", float64(i%3)); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := s.Results(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ExplainPlan(0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			appendT(t, db)
+			if _, _, err := s.ExplainAnalyze(0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		clock.advance(time.Second)
 	}
-	reg.mu.RLock()
-	live := len(reg.retired)
-	reg.mu.RUnlock()
-	if live != churn-1 {
-		t.Fatalf("retired blocks = %d, want %d (all within grace)", live, churn-1)
+	clock.advance(2 * time.Minute)
+	reg.Sweep()
+	if err := evicted.SetSlider("w0", 9); err != nil {
+		t.Fatal(err)
 	}
-	before := reg.Stats()
-	clock.advance(retiredGrace + time.Second)
-	reg.Sweep() // compaction rides on sweep/retire
-	reg.mu.RLock()
-	live = len(reg.retired)
-	reg.mu.RUnlock()
-	if live != 0 {
-		t.Fatalf("retired blocks after grace = %d, want 0 (folded into base)", live)
+	if _, err := evicted.Results(); err != nil {
+		t.Fatal(err)
 	}
-	if after := reg.Stats(); after.Cache != before.Cache {
-		t.Fatalf("compaction changed the aggregate: %+v -> %+v", before.Cache, after.Cache)
+	st := reg.Stats()
+	if st.EvictedLRU == 0 {
+		t.Fatal("no session was evicted")
+	}
+	if st.Cache.PlanMisses != st.PlanCompiles {
+		t.Fatalf("plan misses %d, compiles %d: want equal", st.Cache.PlanMisses, st.PlanCompiles)
 	}
 }
 
 func TestRegistryCloseDrains(t *testing.T) {
-	reg := NewRegistry(sliderFactory(t, nil), RegistryOptions{})
+	pc := NewPlanCache()
+	reg := NewRegistry(sliderFactory(t, pc), RegistryOptions{Plans: pc})
 	sess, _ := reg.Acquire("a")
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
@@ -249,7 +304,8 @@ func TestRegistryCloseDrains(t *testing.T) {
 // stuck mid-interaction (here: its mutex held outright) cannot stall the
 // registry aggregate.
 func TestRegistryStatsDoesNotTakeSessionLocks(t *testing.T) {
-	reg := NewRegistry(sliderFactory(t, nil), RegistryOptions{})
+	pc := NewPlanCache()
+	reg := NewRegistry(sliderFactory(t, pc), RegistryOptions{Plans: pc})
 	sess, _ := reg.Acquire("stuck")
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)

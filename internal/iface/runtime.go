@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	dt "pi2/internal/difftree"
 	"pi2/internal/engine"
@@ -13,52 +12,6 @@ import (
 	"pi2/internal/sqlparser"
 	"pi2/internal/transform"
 )
-
-// CacheStats counts interaction-cache traffic. A result hit means a tree
-// was served without executing its query on this request's behalf — from a
-// result any session computed, or by waiting for one in flight; a plan hit
-// means this request executed a plan it did not compile (with a shared
-// PlanCache the plan may have come from another session).
-type CacheStats struct {
-	ResultHits    uint64
-	ResultMisses  uint64
-	PlanHits      uint64
-	PlanMisses    uint64
-	Invalidations uint64 // kept results discarded because a table they read mutated
-}
-
-// Add accumulates o into c — how the registry folds per-session counters
-// into one multi-session aggregate.
-func (c *CacheStats) Add(o CacheStats) {
-	c.ResultHits += o.ResultHits
-	c.ResultMisses += o.ResultMisses
-	c.PlanHits += o.PlanHits
-	c.PlanMisses += o.PlanMisses
-	c.Invalidations += o.Invalidations
-}
-
-// sessionStats is CacheStats with each counter updated atomically, so a
-// snapshot never needs the session mutex. The registry's /stats aggregation
-// reads every live session's counters without blocking on (or serializing)
-// in-flight interactions — the alternative, taking every session lock at
-// once, would stall the whole fleet behind the slowest request.
-type sessionStats struct {
-	resultHits    atomic.Uint64
-	resultMisses  atomic.Uint64
-	planHits      atomic.Uint64
-	planMisses    atomic.Uint64
-	invalidations atomic.Uint64
-}
-
-func (c *sessionStats) snapshot() CacheStats {
-	return CacheStats{
-		ResultHits:    c.resultHits.Load(),
-		ResultMisses:  c.resultMisses.Load(),
-		PlanHits:      c.planHits.Load(),
-		PlanMisses:    c.planMisses.Load(),
-		Invalidations: c.invalidations.Load(),
-	}
-}
 
 // Session is the interaction runtime: the in-process stand-in for the
 // browser (DESIGN.md §4). It holds the current binding of every Difftree;
@@ -95,12 +48,7 @@ type Session struct {
 	resolved []*lruCache[uint64, resolvedAST]
 
 	plans    *PlanCache // resolved-AST hash -> compiled plan and its result
-	ownPlans bool       // plans is this session's alone; ResetCache drops it
-
-	// stats lives behind a pointer so the registry can keep just the
-	// counters of an evicted session (a few dozen bytes) while the session
-	// itself is garbage collected.
-	stats *sessionStats
+	ownPlans bool       // plans is this session's alone; ResetCache clears it
 
 	// execHook, when set, runs between plan resolution and execution on
 	// every attempt that executes, on the cached-execution and explain
@@ -121,7 +69,7 @@ func NewSession(ifc *Interface, ctx *transform.Context, db *engine.DB) (*Session
 // resolved query once. A nil plans gives the session a PlanCache of its
 // own, as NewSession does.
 func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, plans *PlanCache) (*Session, error) {
-	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans, ownPlans: plans == nil, stats: &sessionStats{}}
+	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans, ownPlans: plans == nil}
 	if s.ownPlans {
 		s.plans = NewPlanCache()
 	}
@@ -136,25 +84,26 @@ func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, 
 	return s, nil
 }
 
-// Stats returns a snapshot of the cache counters. It is lock-free (the
-// counters are atomics), so monitoring never blocks on — and never blocks —
-// an in-flight interaction holding the session mutex.
-func (s *Session) Stats() CacheStats { return s.stats.snapshot() }
+// Stats returns a snapshot of the counters of the session's PlanCache: with
+// a shared cache, the traffic of every session sharing it. It is lock-free
+// (the counters are atomics), so monitoring never blocks on — and never
+// blocks — an in-flight interaction holding the session mutex.
+func (s *Session) Stats() CacheStats { return s.plans.stats() }
 
 // ResetCache drops the session's resolution memo and, when the session owns
-// its PlanCache, its plans and results (counters are kept): the next
-// interaction takes the full resolve/plan/execute path. A shared PlanCache
-// is not flushed — it belongs to every session, and its entries are
-// validated per use against the generations of the tables they read, so
-// they can never serve stale plans or results.
+// its PlanCache, the cache's plans and results (its counters are kept): the
+// next interaction takes the full resolve/plan/execute path. A shared
+// PlanCache is not flushed — it belongs to every session, and its entries
+// are validated per use against the generations of the tables they read,
+// so they can never serve stale plans or results.
 func (s *Session) ResetCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.resolved {
 		s.resolved[i] = newLRU[uint64, resolvedAST](maxResolvedPerTree)
 	}
-	if s.ownPlans {
-		s.plans = NewPlanCache()
+	if s.ownPlans { // only this session executes on it, and it holds s.mu
+		s.plans.clear()
 	}
 }
 
@@ -262,7 +211,7 @@ func (s *Session) ExplainAnalyze(tree int) (string, *engine.Profile, error) {
 		return "", nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		plan, err := s.planFor(ast)
+		plan, err := s.plans.Get(s.DB, ast)
 		if err != nil {
 			return "", nil, err
 		}
@@ -294,7 +243,7 @@ func (s *Session) ExplainPlan(tree int) (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
-	plan, err := s.planFor(ast)
+	plan, err := s.plans.Get(s.DB, ast)
 	if err != nil {
 		return "", "", err
 	}
@@ -335,13 +284,16 @@ func (s *Session) resolveLocked(tree int) (*dt.Node, error) {
 const execStaleRetries = 3
 
 // resultLocked is the cached execution path for one tree: resolve the
-// binding (resolveLocked), then ask the PlanCache for the resolved query's entry (compiling
-// on miss) and its kept result (executing on miss, once across sessions).
-// Entries are served only while the tables they read are unchanged, so a
-// write to one table drops only the results over that table. Each call
-// counts one result hit (nothing executed on its behalf) or miss. tr (nil
-// on untraced calls) receives plan/exec spans only when no kept result
-// answers.
+// binding (resolveLocked), then ask the PlanCache for the resolved query's
+// entry (compiling on miss) and its kept result (executing on miss, once
+// across sessions). Entries are served only while the tables they read are
+// unchanged, so a write to one table drops only the results over that
+// table. Each call counts one result hit (nothing executed on its behalf)
+// or miss in the PlanCache. tr (nil on untraced calls) receives plan/exec
+// spans only when no kept result answers.
+//
+// Called with the session mutex held; the cache takes only its own shard
+// lock underneath (see the locking hierarchy in ARCHITECTURE.md).
 func (s *Session) resultLocked(tree int, tr *obs.Trace) (*engine.Table, error) {
 	var end func()
 	if tr != nil {
@@ -349,24 +301,18 @@ func (s *Session) resultLocked(tree int, tr *obs.Trace) (*engine.Table, error) {
 	}
 	ast, err := s.resolveLocked(tree)
 	if err != nil {
-		s.stats.resultMisses.Add(1)
+		s.plans.resultMisses.Add(1)
 		return nil, err
 	}
 	executed := false
 	for attempt := 0; ; attempt++ {
-		e, sh, compiled, invalidated := s.plans.entry(s.DB, ast)
-		if invalidated {
-			s.stats.invalidations.Add(1)
-		}
-		if compiled {
-			s.stats.planMisses.Add(1)
-		}
+		e, sh, compiled := s.plans.entry(s.DB, ast)
 		if e.err != nil {
-			s.stats.resultMisses.Add(1)
+			s.plans.resultMisses.Add(1)
 			return nil, e.err
 		}
 		if tbl, ok := sh.kept(e); ok {
-			s.countResult(executed)
+			s.plans.countResult(executed)
 			return tbl, nil
 		}
 		if end != nil {
@@ -381,44 +327,18 @@ func (s *Session) resultLocked(tree int, tr *obs.Trace) (*engine.Table, error) {
 			end = nil
 		}
 		if ran && !compiled {
-			s.stats.planHits.Add(1)
+			s.plans.planHits.Add(1)
 		}
 		executed = executed || ran
 		if err == nil {
-			s.countResult(executed)
+			s.plans.countResult(executed)
 			return tbl, nil
 		}
 		if !errors.Is(err, engine.ErrStalePlan) || attempt >= execStaleRetries {
-			s.stats.resultMisses.Add(1)
+			s.plans.resultMisses.Add(1)
 			return nil, err
 		}
 	}
-}
-
-// countResult counts one served tree: a miss when the request executed it.
-func (s *Session) countResult(executed bool) {
-	if executed {
-		s.stats.resultMisses.Add(1)
-	} else {
-		s.stats.resultHits.Add(1)
-	}
-}
-
-// planFor returns the compiled plan for a resolved query from the plan
-// cache, compiling on miss. Called with the session mutex held; the cache
-// takes only its own shard lock underneath (see the locking hierarchy in
-// ARCHITECTURE.md).
-func (s *Session) planFor(ast *dt.Node) (*engine.Plan, error) {
-	plan, hit, err := s.plans.Get(s.DB, ast)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		s.stats.planHits.Add(1)
-	} else {
-		s.stats.planMisses.Add(1)
-	}
-	return plan, nil
 }
 
 func (s *Session) widget(elemID string) (*WidgetSpec, error) {

@@ -518,47 +518,12 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports the serving counters as JSON: the registry aggregate
-// (occupancy, evictions, summed per-session cache traffic). Per-session
-// counters are atomics and the registry takes only its read lock, so /stats
-// never waits on an in-flight interaction.
-//
-// With observability attached the object gains uptime_seconds, in_flight,
-// and a per-endpoint requests map. The pre-existing fields are embedded
-// first, so the byte prefix of the JSON is identical to the uninstrumented
-// encoding — pinned by TestStatsJSONByteCompatible.
+// (occupancy, evictions, and the shared PlanCache's traffic). The registry
+// takes only its read lock and reads no session, so /stats never waits on
+// an in-flight interaction. Request, engine and latency figures are
+// /metrics series.
 func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := sv.reg.Stats()
-	var v any = st
-	if sv.obs != nil {
-		up, inflight, reqs := sv.obs.statsExt()
-		// Index is appended after the pre-existing fields (and omitted when
-		// the engine is not observed), so the JSON prefix stays identical.
-		ext := struct {
-			UptimeSeconds float64                  `json:"uptime_seconds"`
-			InFlight      int64                    `json:"in_flight"`
-			Requests      map[string]uint64        `json:"requests"`
-			Index         *engine.IndexCounters    `json:"index,omitempty"`
-			Columnar      *engine.ColumnarCounters `json:"columnar,omitempty"`
-			Append        *engine.AppendCounters   `json:"append,omitempty"`
-		}{up, inflight, reqs, nil, nil, nil}
-		if sv.obs.engineIdx != nil {
-			ic := sv.obs.engineIdx()
-			ext.Index = &ic
-		}
-		if sv.obs.engineCol != nil {
-			cc := sv.obs.engineCol()
-			ext.Columnar = &cc
-		}
-		if sv.obs.engineApp != nil {
-			ac := sv.obs.engineApp()
-			ext.Append = &ac
-		}
-		v = struct {
-			RegistryStats
-			X any `json:"obs"`
-		}{st, ext}
-	}
-	body, err := json.Marshal(v)
+	body, err := json.Marshal(sv.reg.Stats())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

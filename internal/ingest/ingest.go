@@ -233,19 +233,6 @@ func SplitList(s string) []string {
 	return out
 }
 
-// LoadFiles is Load plus manifest reading: manifestPath may be empty.
-func LoadFiles(dataPaths []string, manifestPath string) (*Result, error) {
-	var m *Manifest
-	if manifestPath != "" {
-		var err error
-		m, err = ReadManifest(manifestPath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Load(dataPaths, m)
-}
-
 // LoadTable ingests one data file. The manifest entry (may be nil) renames
 // the table and overrides inferred column types.
 func LoadTable(path string, tm *TableManifest) (*engine.Table, *TableReport, error) {

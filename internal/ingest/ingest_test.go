@@ -292,7 +292,11 @@ func TestLoadWithManifest(t *testing.T) {
 	data := writeFile(t, dir, "cars.csv", "id,hp\n1,100\n2,150\n")
 	manifest := writeFile(t, dir, "manifest.json",
 		`{"now": "2021-06-01", "tables": [{"file": "cars.csv", "name": "Cars", "keys": ["id"]}]}`)
-	res, err := LoadFiles([]string{data}, manifest)
+	m, err := ReadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Load([]string{data}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
