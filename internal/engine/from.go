@@ -408,7 +408,7 @@ func (r *fromRun) scanRows(i int, tbl *Table) ([][]Value, error) {
 		// pushed predicate, including the one the index served,
 		// re-evaluates over the candidates, so an over-approximating
 		// index can never change results.
-		idxRows := pq.indexRows(i, tbl)
+		idxRows := pq.indexRows(i, tbl, r.probe.outer.scratch())
 		rows = make([][]Value, len(idxRows))
 		for k, ri := range idxRows {
 			rows[k] = tbl.Rows[ri]
@@ -423,19 +423,27 @@ func (r *fromRun) scanRows(i int, tbl *Table) ([][]Value, error) {
 }
 
 // indexRows probes source i's chosen index and returns its candidate row
-// indexes, ascending. An equality probe returns the hash index's shared
-// bucket, so callers must treat the result as read-only.
-func (pq *planQuery) indexRows(i int, tbl *Table) []int {
+// indexes, ascending, in a buffer x keeps until the Exec returns: an
+// equality probe's bucket is copied out of the shared hash index, and a range
+// probe's hits are put in row order (orderHits). Both paths read their
+// candidates here, and a vectorized scan then filters them in place.
+func (pq *planQuery) indexRows(i int, tbl *Table, x *execScratch) []int32 {
 	a := pq.levels[i].access
-	var rows []int
+	var out []int32
 	switch a.mode {
 	case accessEq:
-		rows = pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
+		bucket := pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
+		out = x.keep(len(bucket))
+		for k, r := range bucket {
+			out[k] = int32(r)
+		}
 	case accessRange:
-		rows = pq.db.sortedIndexFor(tbl, a.col).rangeRows(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
+		si := pq.db.sortedIndexFor(tbl, a.col)
+		hits := si.rangeHits(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
+		out = orderHits(si.nrows, hits, x.keep(len(hits)))
 	}
 	pq.db.idxHits.Add(1)
-	return rows
+	return out
 }
 
 func filterRows(rows [][]Value, preds []exprFn, i int, cur []frame, probe *rowEnv) ([][]Value, error) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -406,18 +407,12 @@ func (db *DB) sortedIndexFor(t *Table, col int) *sortedIndex {
 	return si
 }
 
-// rangeRows returns the row indexes whose value falls inside the bounds, in
-// ascending row order — the scan-order contract every access path must
-// keep. Binary search over Compare is only valid because the chooser
-// restricts range probes to type-homogeneous columns with bounds of the
-// column's own type.
-//
-// Row order is restored without a comparison sort when the range is wide:
-// each row appears at most once in the index, so marking the hits in a
-// bitmap over the snapshot's rows and sweeping its words emits them
-// ascending in O(rows/64 + hits). Narrow ranges over large tables, where
-// that sweep would cost more than sorting the hits, keep the sort.
-func (si *sortedIndex) rangeRows(lo Value, hasLo, loExcl bool, hi Value, hasHi, hiExcl bool) []int {
+// rangeHits returns the rows whose value falls inside the bounds, in value
+// order: a run of si.rows, shared with the index, so callers must treat it
+// as read-only and put it in row order with orderHits. Binary search over
+// Compare is only valid because the chooser restricts range probes to
+// type-homogeneous columns with bounds of the column's own type.
+func (si *sortedIndex) rangeHits(lo Value, hasLo, loExcl bool, hi Value, hasHi, hiExcl bool) []int {
 	start := 0
 	if hasLo {
 		start = sort.Search(len(si.vals), func(k int) bool {
@@ -441,16 +436,32 @@ func (si *sortedIndex) rangeRows(lo Value, hasLo, loExcl bool, hi Value, hasHi, 
 	if end <= start {
 		return nil
 	}
-	hits := si.rows[start:end]
-	if bitmapOrder(si.nrows, len(hits)) {
-		return bitmapSweep(si.nrows, hits)
-	}
-	out := append([]int(nil), hits...)
-	sort.Ints(out)
-	return out
+	return si.rows[start:end]
 }
 
-// bitmapOrder reports whether rangeRows should restore the row order of
+// orderHits writes hits, distinct row indexes below nrows, into dst (of
+// length len(hits)) in ascending row order — the scan-order contract every
+// access path must keep — and returns dst. A wide range is ordered without a
+// comparison sort: each row appears at most once in the index, so marking
+// the hits in a pooled bitmap over the snapshot's rows and sweeping its
+// words emits them ascending in O(rows/64 + hits). Narrow ranges over large
+// tables, where that sweep would cost more than sorting the hits, keep the
+// sort (bitmapOrder).
+func orderHits(nrows int, hits []int, dst []int32) []int32 {
+	if bitmapOrder(nrows, len(hits)) {
+		bm := getBitmap((nrows + 63) / 64)
+		bitmapSweep(*bm, hits, dst)
+		putBitmap(bm)
+		return dst
+	}
+	for k, r := range hits {
+		dst[k] = int32(r)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// bitmapOrder reports whether orderHits should restore the row order of
 // hits candidates over an nrows-row snapshot by bitmap sweep (one pass over
 // nrows/64 words) rather than by sorting them (~hits·log2(hits) steps).
 // BenchmarkEngineRangeOrder times both orderings on 20k–1M rows and 10–10k
@@ -463,21 +474,21 @@ func bitmapOrder(nrows, hits int) bool {
 	return (nrows+63)/64 <= hits*bits.Len(uint(hits))
 }
 
-// bitmapSweep returns hits, distinct row indexes below nrows, in ascending
-// order: it marks them in a bitmap and emits the set bits word by word.
-func bitmapSweep(nrows int, hits []int) []int {
-	bm := make([]uint64, (nrows+63)/64)
+// bitmapSweep writes hits, distinct row indexes below 64·len(bm), into dst
+// in ascending order: it marks them in bm, which must be zeroed, and emits
+// the set bits word by word.
+func bitmapSweep(bm []uint64, hits []int, dst []int32) {
 	for _, r := range hits {
 		bm[r>>6] |= 1 << (r & 63)
 	}
-	out := make([]int, 0, len(hits))
+	k := 0
 	for w, word := range bm {
 		for word != 0 {
-			out = append(out, w<<6|bits.TrailingZeros64(word))
+			dst[k] = int32(w<<6 | bits.TrailingZeros64(word))
+			k++
 			word &= word - 1
 		}
 	}
-	return out
 }
 
 // IndexCounters is a monotonic snapshot of the DB's access-path activity,

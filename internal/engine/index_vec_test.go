@@ -83,7 +83,8 @@ type rangeCase struct {
 	loExcl, hiExcl bool
 }
 
-// sweepRange is the reference for rangeRows: every non-NULL row inside the
+// sweepRange is the reference for a range probe (rangeHits, then
+// orderHits): every non-NULL row inside the
 // bounds, visited in row order. For the homogeneous columns the chooser
 // routes to a sorted index this equals copying the index's hits and sorting
 // them by row.
@@ -138,10 +139,14 @@ func TestRangeRowsMatchesSweep(t *testing.T) {
 		tb := db.Tables["r"]
 		si := db.sortedIndexFor(tb, col)
 		for _, c := range cases {
-			got := si.rangeRows(c.lo, c.hasLo, c.loExcl, c.hi, c.hasHi, c.hiExcl)
+			hits := si.rangeHits(c.lo, c.hasLo, c.loExcl, c.hi, c.hasHi, c.hiExcl)
+			var got []int
+			for _, r := range orderHits(si.nrows, hits, make([]int32, len(hits))) {
+				got = append(got, int(r))
+			}
 			want := sweepRange(tb, col, c)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("%s/%s: rangeRows = %d rows %v, sweep = %d rows %v", label, c.name, len(got), head(got), len(want), head(want))
+				t.Fatalf("%s/%s: ordered range hits = %d rows %v, sweep = %d rows %v", label, c.name, len(got), head(got), len(want), head(want))
 			}
 			switch {
 			case len(want) == 0:

@@ -3,10 +3,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
+	dt "pi2/internal/difftree"
 	"pi2/internal/sqlparser"
 )
 
@@ -175,12 +176,12 @@ func BenchmarkEngineScan(b *testing.B) {
 	const rangeSQL = `SELECT v FROM scan WHERE k BETWEEN 7 AND 9`
 	b.Run("index-point", func(b *testing.B) { benchPlan(b, db, pointSQL) })
 	b.Run("index-range", func(b *testing.B) { benchPlan(b, db, rangeSQL) })
-	// About 10 of the 20k rows: narrow enough that rangeRows restores row
+	// About 10 of the 20k rows: narrow enough that orderHits restores row
 	// order by sorting the hits rather than by bitmap.
 	const narrowSQL = `SELECT v FROM scan WHERE v BETWEEN 50 AND 50.05`
 	b.Run("index-range-narrow", func(b *testing.B) { benchPlan(b, db, narrowSQL) })
 	// About 20% of the rows, in random row order: under the chooser's 25%
-	// cut, and wide enough that rangeRows restores row order by bitmap.
+	// cut, and wide enough that orderHits restores row order by bitmap.
 	const wideSQL = `SELECT v FROM scan WHERE v BETWEEN 40 AND 60`
 	b.Run("index-range-wide", func(b *testing.B) { benchPlan(b, db, wideSQL) })
 	// A low-selectivity sweep the cost model keeps off the indexes: the
@@ -190,7 +191,7 @@ func BenchmarkEngineScan(b *testing.B) {
 	b.Run("vectorized-filter", func(b *testing.B) { benchPlan(b, db, sweepSQL) })
 }
 
-// BenchmarkEngineRangeOrder times the two ways rangeRows restores row order
+// BenchmarkEngineRangeOrder times the two ways orderHits restores row order
 // — copy-and-sort and bitmapSweep — on random hit sets across the crossover
 // bitmapOrder draws; the pick=… level names the one it chooses.
 func BenchmarkEngineRangeOrder(b *testing.B) {
@@ -201,6 +202,7 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 				continue
 			}
 			hits := perm[:nhits]
+			dst := make([]int32, nhits)
 			pick := "sort"
 			if bitmapOrder(nrows, nhits) {
 				pick = "bitmap"
@@ -208,13 +210,17 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 			name := fmt.Sprintf("rows=%d/hits=%d/pick=%s", nrows, nhits, pick)
 			b.Run(name+"/sort", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					out := append([]int(nil), hits...)
-					sort.Ints(out)
+					for k, r := range hits {
+						dst[k] = int32(r)
+					}
+					slices.Sort(dst)
 				}
 			})
 			b.Run(name+"/bitmap", func(b *testing.B) {
+				bm := make([]uint64, (nrows+63)/64)
 				for i := 0; i < b.N; i++ {
-					bitmapSweep(nrows, hits)
+					clear(bm)
+					bitmapSweep(bm, hits, dst)
 				}
 			})
 		}
@@ -318,6 +324,67 @@ func BenchmarkEngineAppendThenRead(b *testing.B) {
 		}
 		if len(t.Rows) != 731+i {
 			b.Fatalf("got %d rows, want %d", len(t.Rows), 731+i)
+		}
+	}
+}
+
+// flightsDB builds a flights table shaped like the cross-filter demo's
+// (Figure 14d): rows rows of hour (6–21), delay (0–90 in steps of 5, skewed
+// low) and dist (250–4500 in steps of 250), every cell a number.
+func flightsDB(rows int) *DB {
+	r := rand.New(rand.NewSource(1))
+	db := NewDB("2020-12-31")
+	t := &Table{Name: "flights", Cols: []string{"hour", "delay", "dist"}, Types: []ColType{TNum, TNum, TNum}}
+	for i := 0; i < rows; i++ {
+		hour, delay, dist := 6+r.Intn(16), 5*r.Intn(19), 250*(1+r.Intn(18))
+		if r.Float64() < 0.3 && delay > 30 {
+			delay = 5 * r.Intn(6)
+		}
+		t.Rows = append(t.Rows, []Value{NumVal(float64(hour)), NumVal(float64(delay)), NumVal(float64(dist))})
+	}
+	db.Add(t)
+	return db
+}
+
+// BenchmarkEngineCrossFilter times cross-filter reads over a 100k-row
+// flights table: each op prepares and executes one of the Filter log's three
+// grouped query shapes under a fresh brush on the other two columns, as a
+// served brush that reaches a new binding state does. The brushes are drawn
+// from a fixed seed, uniformly inside the spans the log's own literals cover,
+// so some are narrow enough for the chooser to seed the scan from a sorted
+// index and the rest sweep the table.
+func BenchmarkEngineCrossFilter(b *testing.B) {
+	db := flightsDB(100_000)
+	type dim struct {
+		col    string
+		lo, hi float64
+	}
+	dims := []dim{{"hour", 8, 20}, {"delay", 0, 61}, {"dist", 10, 800}}
+	r := rand.New(rand.NewSource(1))
+	brush := func(d dim) string {
+		a, c := d.lo+r.Float64()*(d.hi-d.lo), d.lo+r.Float64()*(d.hi-d.lo)
+		return fmt.Sprintf("%s BETWEEN %.1f AND %.1f", d.col, min(a, c), max(a, c))
+	}
+	var queries []*dt.Node
+	for i := 0; i < 256; i++ {
+		g := i % 3
+		sql := fmt.Sprintf("SELECT %s, count(*) FROM flights WHERE %s AND %s GROUP BY %s",
+			dims[g].col, brush(dims[(g+1)%3]), brush(dims[(g+2)%3]), dims[g].col)
+		ast, err := sqlparser.Parse(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, ast)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := Prepare(db, queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Exec(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -130,25 +131,87 @@ func (p *Plan) Exec() (*Table, error) {
 	if p.Stale() {
 		return nil, ErrStalePlan
 	}
-	return p.root.run(newExecEnv(), nil)
+	env := newExecEnv()
+	defer env.x.release()
+	return p.root.run(env, nil)
 }
 
 // execScratch is one Exec's run-time state. Each compiled query level keeps
 // the work over its base tables that does not depend on the outer row (its
 // filtered scans, hash build sides and vectorized selections) here, computed
 // on first use, so a subquery that re-runs once per outer row does that work
-// once per Exec. The scratch is dropped when Exec returns.
+// once per Exec. The scratch is dropped when Exec returns, and the pooled
+// buffers it kept go back to their pool then.
 type execScratch struct {
-	qs map[*planQuery]*queryScratch
+	qs   map[*planQuery]*queryScratch
+	kept []*[]int32 // pooled buffers held until Exec returns (keep)
 }
 
 // queryScratch is one query level's part of an execScratch.
 type queryScratch struct {
 	src []sourceScratch // row path, per source
 
-	sel     [][]int32 // vectorized path, per source; nil = all rows; valid once selDone
+	// sel holds the vectorized path's selection per source (nil = all rows),
+	// valid once selDone. Each one is a pooled buffer the Exec keeps: it is
+	// returned when Exec returns, so no result table may reference it.
+	sel     [][]int32
 	selDone bool
 	build   *hashIndex // vectorized path: hash over source 1's selection; nil until built
+}
+
+// Row-id and bitmap buffers are borrowed from these pools, so a run of the
+// vectorized path allocates nothing per row. A buffer a single run of a
+// query level needs (group ids, join pairs, the bitmap that orders range
+// hits) goes back when that run returns, so a subquery re-run once per
+// outer row reuses one buffer instead of holding one per run; a buffer the
+// Exec keeps (execScratch.keep) goes back when Exec returns.
+var (
+	int32Pool  = sync.Pool{New: func() any { return new([]int32) }}
+	bitmapPool = sync.Pool{New: func() any { return new([]uint64) }}
+)
+
+// getInt32s borrows a non-nil buffer of length n; its contents are
+// arbitrary. Return it with putInt32s.
+func getInt32s(n int) *[]int32 {
+	p := int32Pool.Get().(*[]int32)
+	if *p == nil || cap(*p) < n {
+		*p = make([]int32, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+func putInt32s(p *[]int32) { int32Pool.Put(p) }
+
+// getBitmap borrows a zeroed bitmap of the given number of words. Return it
+// with putBitmap.
+func getBitmap(words int) *[]uint64 {
+	p := bitmapPool.Get().(*[]uint64)
+	if cap(*p) < words {
+		*p = make([]uint64, words)
+	} else {
+		*p = (*p)[:words]
+		clear(*p)
+	}
+	return p
+}
+
+func putBitmap(p *[]uint64) { bitmapPool.Put(p) }
+
+// keep borrows a buffer of length n that stays valid until the Exec
+// returns.
+func (x *execScratch) keep(n int) []int32 {
+	p := getInt32s(n)
+	x.kept = append(x.kept, p)
+	return *p
+}
+
+// release returns every kept buffer to its pool; Exec calls it on return.
+func (x *execScratch) release() {
+	for _, p := range x.kept {
+		putInt32s(p)
+	}
+	x.kept = nil
 }
 
 // sourceScratch is one base-table source's row-path work in one Exec.

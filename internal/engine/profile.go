@@ -85,8 +85,10 @@ func (p *Plan) ExecProfiled() (*Table, *Profile, error) {
 		return nil, nil, ErrStalePlan
 	}
 	prof := &Profile{}
+	env := newExecEnv()
+	defer env.x.release()
 	t0 := time.Now()
-	t, err := p.root.run(newExecEnv(), prof)
+	t, err := p.root.run(env, prof)
 	prof.Total = time.Since(t0)
 	if err != nil {
 		return nil, prof, err

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	dt "pi2/internal/difftree"
@@ -134,6 +135,48 @@ type vecPred struct {
 	elems   []Value // predIn literal list
 	negate  bool    // NOT IN / NOT LIKE
 	fast    vecFast
+
+	// A fastNum comparison or BETWEEN runs as one range test over raw
+	// floats (filterRange): the row is outside when v < dlo || v > dhi, and
+	// kept when inside, or when outside if outside is set. BETWEEN, = and
+	// <= / >= are inside tests ([lo, hi], [lit, lit], [-Inf, lit] /
+	// [lit, +Inf]); <>, < and > are outside tests ([lit, lit], [lit, +Inf],
+	// [-Inf, lit]). Literals are never NaN (litValue). dense marks a column
+	// holding a number in every row (no NULL, no string cell), whose test
+	// needs no NULL probe (filterDense).
+	dlo, dhi float64
+	outside  bool
+	dense    bool
+}
+
+// setRange sets the range test of a fastNum predicate over cd, a column of
+// rows rows, and marks it dense when every row holds a number.
+func (p *vecPred) setRange(cd *colData, rows int) {
+	if p.fast != fastNum {
+		return
+	}
+	inf := math.Inf(1)
+	switch p.kind {
+	case predBetween:
+		p.dlo, p.dhi = p.lo.Num, p.hi.Num
+	case predCmpLit:
+		lit := p.lit.Num
+		switch p.op {
+		case vecEq:
+			p.dlo, p.dhi = lit, lit
+		case vecLe:
+			p.dlo, p.dhi = -inf, lit
+		case vecGe:
+			p.dlo, p.dhi = lit, inf
+		case vecNe:
+			p.dlo, p.dhi, p.outside = lit, lit, true
+		case vecLt:
+			p.dlo, p.dhi, p.outside = lit, inf, true
+		case vecGt:
+			p.dlo, p.dhi, p.outside = -inf, lit, true
+		}
+	}
+	p.dense = cd.numCells == rows
 }
 
 // vecCross is a cross-source pair predicate, evaluated per joined pair via
@@ -428,6 +471,7 @@ func (c *compiler) vecConjunct(vp *vecPlan, e *dt.Node) (pushed vecPushed, cross
 		case cd.allStr() && lo.IsStr && hi.IsStr:
 			p.fast = fastStr
 		}
+		p.setRange(cd, vp.cols[col.src].rows)
 		return vecPushed{col.src, p}, nil, nil, true
 	case dt.KindIn:
 		if len(e.Children) != 2 || e.Children[1].Kind == dt.KindQuery {
@@ -459,6 +503,7 @@ func (c *compiler) cmpLitPred(vp *vecPlan, col vecCol, op vecCmpOp, lit Value) v
 	case cd.allStr() && lit.IsStr:
 		p.fast = fastStr
 	}
+	p.setRange(cd, vp.cols[col.src].rows)
 	return p
 }
 

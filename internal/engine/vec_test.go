@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	dt "pi2/internal/difftree"
+	"pi2/internal/sqlparser"
 )
 
 // vecDB builds a database exercising the columnar layer's edge cases:
@@ -379,4 +382,166 @@ func TestLeanColumnImages(t *testing.T) {
 		vecPlanFor(t, db, sql, true)
 		checkExecEquivalence(t, db, sql)
 	}
+}
+
+// denseDB builds a 3000-row table whose numeric columns hold a number in
+// every row: x cycles through NaN, ±0, ±Inf and ordinary values, y counts
+// 0–99 and k 0–9; e is a ten-row lookup table keyed by k.
+func denseDB() *DB {
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 2.5, -3, 1e300, 7}
+	db := NewDB("2020-12-31")
+	d := &Table{Name: "d", Cols: []string{"x", "y", "k"}, Types: []ColType{TNum, TNum, TNum}}
+	for i := 0; i < 3000; i++ {
+		x := specials[i%len(specials)]
+		if i%7 == 3 {
+			x = float64(i%23) - 11.5
+		}
+		d.Rows = append(d.Rows, []Value{NumVal(x), NumVal(float64(i % 100)), NumVal(float64(i * 7 % 10))})
+	}
+	db.Add(d)
+	e := &Table{Name: "e", Cols: []string{"k", "lbl"}, Types: []ColType{TNum, TStr}}
+	for k := 0; k < 10; k++ {
+		e.Rows = append(e.Rows, []Value{NumVal(float64(k)), StrVal(fmt.Sprintf("k%d", k))})
+	}
+	db.Add(e)
+	return db
+}
+
+// denseQueries are BETWEEN and every comparison operator, literal on either
+// side, over d.x (NaN, -0, ±Inf) alone, after a second dense predicate (so x
+// filters a gathered selection rather than the identity batch) and under
+// GROUP BY.
+func denseQueries() []string {
+	qs := []string{
+		"SELECT x FROM d WHERE x BETWEEN -1 AND 3",
+		"SELECT x FROM d WHERE x BETWEEN 0 AND 0",
+		"SELECT x FROM d WHERE x BETWEEN 3 AND -1",
+		"SELECT x FROM d WHERE x BETWEEN -1000000 AND 1000000",
+		"SELECT x, y FROM d WHERE y BETWEEN 10 AND 40 AND x BETWEEN -5 AND 5",
+		"SELECT k, count(*) FROM d WHERE x BETWEEN -2 AND 2.5 GROUP BY k",
+	}
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		for _, lit := range []string{"0", "2.5", "-11.5", "7", "1000000"} {
+			qs = append(qs,
+				fmt.Sprintf("SELECT x FROM d WHERE x %s %s", op, lit),
+				fmt.Sprintf("SELECT x FROM d WHERE %s %s x", lit, op))
+		}
+		qs = append(qs,
+			fmt.Sprintf("SELECT x, y FROM d WHERE y < 50 AND x %s 0", op),
+			fmt.Sprintf("SELECT k, count(*) FROM d WHERE x %s 1 GROUP BY k", op))
+	}
+	return qs
+}
+
+// TestVecDenseKernels checks the dense range kernel against the interpreter
+// on all five paths, including Compare's NaN rule (BETWEEN, =, <= and >=
+// keep a NaN cell; <>, < and > drop it). An Append that adds a NULL to x
+// takes x's predicates off the dense kernel, and one that then adds a string
+// takes them off the numeric fast path altogether; results must still match.
+func TestVecDenseKernels(t *testing.T) {
+	db := denseDB()
+	// xDense reports whether every predicate on d.x (column 0) is dense.
+	xDense := func(plan *Plan) bool {
+		for _, p := range plan.root.vec.scanPreds[0] {
+			if p.col == 0 && !p.dense {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(stage string, wantDense bool) {
+		t.Helper()
+		for _, sql := range denseQueries() {
+			plan := vecPlanFor(t, db, sql, true)
+			if xDense(plan) != wantDense {
+				t.Fatalf("%s: %q: dense kernel = %v, want %v", stage, sql, !wantDense, wantDense)
+			}
+			checkExecEquivalence(t, db, sql)
+		}
+	}
+	check("loaded", true)
+
+	if err := db.Append("d", [][]Value{{NullVal(), NumVal(5), NumVal(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a NULL", false)
+	if plan := vecPlanFor(t, db, "SELECT x FROM d WHERE y < 50", true); !plan.root.vec.scanPreds[0][0].dense {
+		t.Fatal("a NULL in x took y's predicate off the dense kernel")
+	}
+
+	if err := db.Append("d", [][]Value{{StrVal("2"), NumVal(6), NumVal(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a string", false)
+	if plan := vecPlanFor(t, db, "SELECT x FROM d WHERE x > 0", true); plan.root.vec.scanPreds[0][0].fast != fastNone {
+		t.Fatal("a string in x left its predicate on the numeric fast path")
+	}
+}
+
+// TestVecConcurrentExec runs shared plans from 16 goroutines over one DB:
+// the pooled selections, group ids, join pairs and range bitmaps of one Exec
+// must never leak into another's. Run under -race; every result must equal
+// the interpreter's.
+func TestVecConcurrentExec(t *testing.T) {
+	db := denseDB()
+	type shared struct {
+		sql  string
+		plan *Plan
+		want *Table
+	}
+	var plans []shared
+	for _, q := range []struct {
+		sql  string
+		prep func(*DB, *dt.Node) (*Plan, error)
+	}{
+		{"SELECT k, count(*) FROM d WHERE x BETWEEN -1 AND 3 GROUP BY k", Prepare},
+		{"SELECT k, count(*) FROM d WHERE y BETWEEN 10 AND 20 GROUP BY k", prepareForceIndexVec},
+		{"SELECT x, y FROM d WHERE y BETWEEN 90 AND 95 AND x >= 0", prepareForceIndexVec},
+		{"SELECT d.y, e.lbl FROM d, e WHERE d.k = e.k AND d.y < 5", Prepare},
+		{"SELECT DISTINCT k FROM d WHERE y > 50", Prepare},
+		{"SELECT k, lbl FROM e WHERE k < (SELECT count(*) FROM d WHERE y BETWEEN 1 AND 3 AND x > 0)", Prepare},
+	} {
+		ast, err := sqlparser.Parse(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Exec(db, ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := q.prep(db, ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, shared{q.sql, plan, want})
+	}
+	if plans[1].plan.root.vec == nil || !indexFed(plans[1].plan, 0) {
+		t.Fatalf("expected an index-fed vectorized scan:\n%s", plans[1].plan.Explain())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 8; it++ {
+				s := plans[(g+it)%len(plans)]
+				got, err := s.plan.Exec()
+				if err != nil {
+					t.Errorf("%s: %v", s.sql, err)
+					return
+				}
+				if len(got.Rows) != len(s.want.Rows) {
+					t.Errorf("%s: %d rows, interpreter %d", s.sql, len(got.Rows), len(s.want.Rows))
+					return
+				}
+				for ri := range got.Rows {
+					if !sameRow(got.Rows[ri], s.want.Rows[ri]) {
+						t.Errorf("%s: row %d = %v, interpreter %v", s.sql, ri, got.Rows[ri], s.want.Rows[ri])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -25,7 +25,9 @@ import (
 // Selections and the filtered build hash are pure functions of immutable
 // base tables, so a query re-run within one Exec (a subquery evaluated per
 // outer row) computes them once, in the Exec's scratch, like the row path's
-// scans. Errors cannot occur before output:
+// scans. Row-id buffers come from pools (plan.go): selections stay with the
+// Exec, join pairs and group ids with one run, so nothing is allocated per
+// row. Errors cannot occur before output:
 // every pushed predicate is a proven-pure shape. Grouped output replays the
 // row path's per-group evaluation order — HAVING, then select items, then
 // order keys — so aggregate type errors surface for exactly the same group
@@ -35,7 +37,8 @@ import (
 // rows offered (the row path's `offered` counter).
 func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, error) {
 	vp := pq.vec
-	qs := outer.scratch().query(pq)
+	x := outer.scratch()
+	qs := x.query(pq)
 
 	// 1. Scans: compute (or, on a re-run within this Exec, reuse) the
 	// per-source selection vectors.
@@ -48,7 +51,7 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 				continue
 			}
 			t0 := time.Now()
-			qs.sel[i], selBatches[i] = pq.vecSelect(i)
+			qs.sel[i], selBatches[i] = pq.vecSelect(i, x)
 			selDur[i] = time.Since(t0)
 		}
 		qs.selDone = true
@@ -80,11 +83,10 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 		npairs = vp.cols[0].rows
 	}
 	if vp.nsrc == 2 {
-		var err error
-		r0s, r1s, err = pq.vecJoin(prof, qs)
-		if err != nil {
-			return 0, err
-		}
+		p0, p1 := pq.vecJoin(prof, qs)
+		defer putInt32s(p0)
+		defer putInt32s(p1)
+		r0s, r1s = *p0, *p1
 		npairs = len(r0s)
 	}
 
@@ -96,50 +98,58 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 }
 
 // vecSelect computes source i's selection vector of rows surviving every
-// pushed predicate, processing its rows in batchSize chunks: each batch is
-// filled with the next row ids — the identity sequence, or the candidates of
-// the index the chooser picked (ascending, a superset of the matches) — and
-// each predicate then compacts it in place. Candidates are copied into the
-// batch, since an equality probe hands out the hash index's shared bucket,
-// and every pushed predicate, the one the index served included, re-checks
-// them, so the index can only narrow the scan, never change its result.
+// pushed predicate, in a buffer x keeps until the Exec returns. The buffer
+// first holds the candidate row ids — the identity sequence, or the
+// candidates of the index the chooser picked (ascending, a superset of the
+// matches, copied out of the index by indexRows) — and each batchSize chunk
+// of it is compacted in place by every predicate, then moved down behind the
+// survivors of the batches before it. Every pushed predicate, the one the
+// index served included, re-checks the candidates, so the index can only
+// narrow the scan, never change its result. On the identity sequence the
+// first dense predicate (filterDense) reads its column's cells in row order
+// and writes the surviving ids itself, so the batch is never filled.
 // It also returns the number of batches run.
-func (pq *planQuery) vecSelect(i int) ([]int32, int) {
+func (pq *planQuery) vecSelect(i int, x *execScratch) ([]int32, int) {
 	tc, preds := pq.vec.cols[i], pq.vec.scanPreds[i]
-	n, outCap := tc.rows, tc.rows/2+1
-	var cands []int
-	seeded := pq.vecIndexed(i)
-	if seeded {
-		// The candidates bound the selection, so one allocation holds it.
-		cands = pq.indexRows(i, pq.vec.tabs[i])
-		n, outCap = len(cands), len(cands)
-	}
-	out := make([]int32, 0, outCap)
-	var buf [batchSize]int32
-	batches := 0
-	for base := 0; base < n; base += batchSize {
-		sel := buf[:min(batchSize, n-base)]
-		if seeded {
-			for k := range sel {
-				sel[k] = int32(cands[base+k])
+	identity := !pq.vecIndexed(i)
+	var out []int32
+	first := -1 // the dense predicate that reads the identity sequence itself
+	if identity {
+		out = x.keep(tc.rows)
+		for k := range preds {
+			if preds[k].dense {
+				first = k
+				break
 			}
-		} else {
+		}
+	} else {
+		out = pq.indexRows(i, pq.vec.tabs[i], x)
+	}
+	n, kept, batches := len(out), 0, 0
+	for base := 0; base < n; base += batchSize {
+		sel := out[base : base+min(batchSize, n-base)]
+		m := len(sel)
+		switch {
+		case first >= 0:
+			sel = preds[first].denseWindow(tc.cols[preds[first].col].nums, base, sel)
+		case identity:
 			for k := range sel {
 				sel[k] = int32(base + k)
 			}
 		}
-		m := len(sel)
 		for k := range preds {
 			if len(sel) == 0 {
 				break
 			}
-			sel = preds[k].filterSel(tc, sel)
+			if k != first {
+				sel = preds[k].filterSel(tc, sel)
+			}
 		}
-		out = append(out, sel...)
+		kept += copy(out[kept:], sel)
 		pq.db.noteBatch(m)
 		batches++
 	}
-	return out, batches
+	return out[:kept], batches
 }
 
 // vecIndexed reports whether source i's selection is seeded from the index
@@ -155,42 +165,16 @@ func (pq *planQuery) vecIndexed(i int) bool {
 // Compare's "NaN equals every number" degeneracy bit for bit.
 func (p *vecPred) filterSel(tc *tableCols, sel []int32) []int32 {
 	cd := &tc.cols[p.col]
+	if p.fast == fastNum {
+		if p.dense {
+			return p.filterDense(cd.nums, sel)
+		}
+		return p.filterRange(cd, sel)
+	}
 	j := 0
 	switch p.kind {
 	case predCmpLit:
 		switch p.fast {
-		case fastNum:
-			lit := p.lit.Num
-			for _, i := range sel {
-				ii := int(i)
-				if cd.isNull(ii) {
-					continue
-				}
-				v := cd.nums[ii]
-				var keep bool
-				if v != v { // NaN: Compare(NaN, x) == 0 for every number x
-					keep = p.op == vecEq || p.op == vecLe || p.op == vecGe
-				} else {
-					switch p.op {
-					case vecEq:
-						keep = v == lit
-					case vecNe:
-						keep = v != lit
-					case vecLt:
-						keep = v < lit
-					case vecLe:
-						keep = v <= lit
-					case vecGt:
-						keep = v > lit
-					default:
-						keep = v >= lit
-					}
-				}
-				if keep {
-					sel[j] = i
-					j++
-				}
-			}
 		case fastStr:
 			lit := p.lit.Str
 			for _, i := range sel {
@@ -279,22 +263,6 @@ func (p *vecPred) filterSel(tc *tableCols, sel []int32) []int32 {
 		}
 	case predBetween:
 		switch p.fast {
-		case fastNum:
-			lo, hi := p.lo.Num, p.hi.Num
-			for _, i := range sel {
-				ii := int(i)
-				if cd.isNull(ii) {
-					continue
-				}
-				v := cd.nums[ii]
-				// NaN keeps: v < lo and v > hi are both false, matching
-				// Compare(NaN, bound) == 0 on both ends.
-				if v < lo || v > hi {
-					continue
-				}
-				sel[j] = i
-				j++
-			}
 		case fastStr:
 			lo, hi := p.lo.Str, p.hi.Str
 			for _, i := range sel {
@@ -354,6 +322,61 @@ func (p *vecPred) filterSel(tc *tableCols, sel []int32) []int32 {
 	return sel[:j]
 }
 
+// filterRange is filterSel for a fastNum comparison or BETWEEN: a NULL cell
+// drops, and a number is kept by the predicate's range test (vecPred.dlo):
+// the row is outside when v < dlo || v > dhi, and kept when inside or, for
+// an outside predicate, when outside. A NaN cell fails both comparisons, so
+// an inside predicate (BETWEEN, =, <=, >=) keeps it and an outside one (<>,
+// <, >) drops it — Compare's "NaN equals every number".
+func (p *vecPred) filterRange(cd *colData, sel []int32) []int32 {
+	lo, hi, flip := p.dlo, p.dhi, b2i(!p.outside)
+	j := 0
+	for _, r := range sel {
+		if cd.isNull(int(r)) {
+			continue
+		}
+		v := cd.nums[r]
+		sel[j] = r
+		j += (b2i(v < lo) | b2i(v > hi)) ^ flip
+	}
+	return sel[:j]
+}
+
+// filterDense is filterRange for a dense predicate (vecPred.dense): the
+// column holds a number in every row, so the kernel reads nums with no NULL
+// probe and compacts without a branch per row.
+func (p *vecPred) filterDense(nums []float64, sel []int32) []int32 {
+	lo, hi, flip := p.dlo, p.dhi, b2i(!p.outside)
+	j := 0
+	for _, r := range sel {
+		v := nums[r]
+		sel[j] = r
+		j += (b2i(v < lo) | b2i(v > hi)) ^ flip
+	}
+	return sel[:j]
+}
+
+// denseWindow is filterDense over the identity batch base, base+1, …,
+// base+len(sel)-1: it reads nums[base:base+len(sel)] in order and writes the
+// surviving row ids into sel.
+func (p *vecPred) denseWindow(nums []float64, base int, sel []int32) []int32 {
+	lo, hi, flip := p.dlo, p.dhi, b2i(!p.outside)
+	j := 0
+	for q, v := range nums[base : base+len(sel)] {
+		sel[j] = int32(base + q)
+		j += (b2i(v < lo) | b2i(v > hi)) ^ flip
+	}
+	return sel[:j]
+}
+
+// b2i converts a bool to 0 or 1 without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // vecCell reads one column of one (r0, r1) pair.
 func vecCell(vp *vecPlan, c vecCol, r0, r1 int) Value {
 	ri := r0
@@ -381,7 +404,9 @@ func vecCrossPass(vp *vecPlan, r0, r1 int) bool {
 
 // vecJoin produces the joined (r0, r1) pair lists in nested-loop order:
 // r0 ascending in probe-selection order, r1 ascending within each bucket.
-func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) ([]int32, []int32, error) {
+// The lists are pooled buffers the caller returns (putInt32s) when its run
+// ends.
+func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) (p0, p1 *[]int32) {
 	vp := pq.vec
 	db := pq.db
 	tc0, tc1 := vp.cols[0], vp.cols[1]
@@ -399,8 +424,11 @@ func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) ([]int32, []int32,
 	if prof != nil {
 		tj = time.Now()
 	}
-	r0s := make([]int32, 0, n0)
-	r1s := make([]int32, 0, n0)
+	p0, p1 = getInt32s(n0), getInt32s(n0)
+	r0s, r1s := (*p0)[:0], (*p1)[:0]
+	// A bucket can match more than once per probe row, so the lists may
+	// outgrow n0; the grown arrays go back to the pool in their place.
+	defer func() { *p0, *p1 = r0s, r1s }()
 	emit := func(r0, r1 int32) {
 		if len(vp.cross) == 0 || vecCrossPass(vp, int(r0), int(r1)) {
 			r0s = append(r0s, r0)
@@ -429,7 +457,7 @@ func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) ([]int32, []int32,
 			prof.addVec("join", pq.sources[1].alias, "vectorized nested-loop",
 				n0+n1, len(r0s), (n0+batchSize-1)/batchSize, time.Since(tj))
 		}
-		return r0s, r1s, nil
+		return p0, p1
 	}
 
 	// Hash join: build over source 1, probe with source 0 in selection order.
@@ -489,7 +517,7 @@ func (pq *planQuery) vecJoin(prof *Profile, qs *queryScratch) ([]int32, []int32,
 		detail := "vectorized hash build=" + pq.sources[1].alias
 		prof.addVec("join", detail, buildPath, n0+n1, len(r0s), (n0+batchSize-1)/batchSize, time.Since(tj))
 	}
-	return r0s, r1s, nil
+	return p0, p1
 }
 
 // vecEmit materializes the non-grouped output: one slab allocation backs
@@ -703,7 +731,9 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 	var dmin int64
 	if useU64 && keyCd.allInt {
 		if span := keyCd.intMax - keyCd.intMin + 1; span > 0 && span <= 65536 && span <= int64(4*npairs)+1024 {
-			dtab = make([]int32, span)
+			dp := getInt32s(int(span))
+			defer putInt32s(dp)
+			dtab = *dp
 			for i := range dtab {
 				dtab[i] = -1
 			}
@@ -719,8 +749,11 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 	}
 
 	// Pass 1: assign a group id per pair (scan order = first-seen group
-	// order). The ids feed the per-aggregate column passes below.
-	gids := make([]int32, npairs)
+	// order). The ids feed the per-aggregate column passes below; their
+	// pooled buffer goes back when this run returns.
+	gp := getInt32s(npairs)
+	defer putInt32s(gp)
+	gids := *gp
 	for p := 0; p < npairs; p++ {
 		r0 := int32(p)
 		if r0s != nil {

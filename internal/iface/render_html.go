@@ -20,7 +20,12 @@ func RenderHTML(s *Session) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ifc := s.Ifc
+	return renderHTML(s.Ifc, results), nil
+}
+
+// renderHTML renders the snapshot of ifc from results, one table per tree
+// as Results returns them.
+func renderHTML(ifc *Interface, results []*engine.Table) string {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>PI2 interface</title>\n")
 	b.WriteString(`<style>
@@ -56,7 +61,7 @@ td, th { border: 1px solid #ccc; padding: 1px 4px; }
 		b.WriteString("</div>\n")
 	}
 	b.WriteString("</div></body></html>\n")
-	return b.String(), nil
+	return b.String()
 }
 
 func renderWidget(b *strings.Builder, w *WidgetSpec) {

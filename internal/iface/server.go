@@ -237,23 +237,19 @@ func (sv *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if !explicit {
 		key = "" // cookie-bound: keep session keys out of forms and URLs
 	}
-	if tr != nil {
-		// Pre-execute the trees with the trace attached so plan/exec spans
-		// attribute to this request; renderPage's own Results call then hits
-		// the result cache.
-		if _, err := sess.ResultsTraced(tr); err != nil {
-			http.Error(w, err.Error(), errStatus(err))
-			return
-		}
-		end = tr.Span("render")
-	}
-	page, err := sv.renderPage(sess, key)
-	if end != nil {
-		end()
-	}
+	// Read every tree once; with a trace attached its plan/exec spans
+	// attribute to this request. The page renders from these tables.
+	results, err := sess.ResultsTraced(tr)
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
 		return
+	}
+	if tr != nil {
+		end = tr.Span("render")
+	}
+	page := sv.renderPage(sess, key, results)
+	if end != nil {
+		end()
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, page)
@@ -532,14 +528,12 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(body, '\n'))
 }
 
-// renderPage renders the snapshot plus manipulation forms. A non-empty key
-// is embedded as a hidden field in every form (and in the reset/SQL links)
-// so explicitly addressed sessions survive the round trip.
-func (sv *Server) renderPage(sess *Session, key string) (string, error) {
-	snapshot, err := RenderHTML(sess)
-	if err != nil {
-		return "", err
-	}
+// renderPage renders the snapshot of results, the session's tree results,
+// plus manipulation forms. A non-empty key is embedded as a hidden field in
+// every form (and in the reset/SQL links) so explicitly addressed sessions
+// survive the round trip.
+func (sv *Server) renderPage(sess *Session, key string, results []*engine.Table) string {
+	snapshot := renderHTML(sess.Ifc, results)
 	sessionField := ""
 	if key != "" {
 		sessionField = fmt.Sprintf(`<input type="hidden" name="session" value="%s">`, html.EscapeString(key))
@@ -597,5 +591,5 @@ func (sv *Server) renderPage(sess *Session, key string) (string, error) {
 	}
 	fmt.Fprintf(&b, `<p><a href="%s">current SQL</a></p>`, sqlHref)
 	b.WriteString(`</div></body></html>`)
-	return b.String(), nil
+	return b.String()
 }
