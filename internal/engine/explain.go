@@ -128,8 +128,6 @@ func (pq *planQuery) levelMode(i int) string {
 	switch {
 	case len(lv.build) == 0:
 		return "nested-loop"
-	case lv.reverse:
-		return "hash build=" + pq.sources[0].alias + " (reversed, order-restoring merge)"
 	case pq.buildReusable(i):
 		return "hash build=" + pq.sources[i].alias + " (reuses index(" + pq.sources[i].cols[lv.buildCol] + "))"
 	}

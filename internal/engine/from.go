@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -81,12 +80,6 @@ type level struct {
 	// one bare column reference (the shape whose hash table the DB's column
 	// index reproduces bit-for-bit); -1 otherwise.
 	buildCol int
-
-	// reverse builds the hash over the prefix instead, probes it with each
-	// of this level's rows and sorts the (prefix, row) pairs back into
-	// nested-loop order. The chooser sets it only on level 1 of a two-source
-	// comma join (chooseBuildSide), where the prefix list is level 0's rows.
-	reverse bool
 
 	filters []exprFn // pure filters: hoisted WHERE conjuncts or the remaining ON conjuncts
 	on      exprFn   // nested-loop ON: impure or non-equi JOIN levels
@@ -378,7 +371,6 @@ func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Nod
 			lv.typ = "inner"
 		}
 	}
-	c.chooseBuildSide(pq)
 }
 
 // scanRows returns source i's rows filtered by its pushed-down predicates.
@@ -657,7 +649,7 @@ func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
 	}
 	var t0 time.Time
 	var h *hashSide
-	if len(lv.build) > 0 && !lv.reverse {
+	if len(lv.build) > 0 {
 		if prof != nil {
 			t0 = time.Now()
 		}
@@ -677,93 +669,58 @@ func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
 	}
 	np := len(prefix) / i
 	var kb []byte
-	if lv.reverse {
-		ph, err := buildHashSide(prefix, lv.probe, 0, r.cur, &r.probe)
-		if err != nil {
-			return err
+	var pad []Value
+	if lv.typ == "left" || lv.typ == "full" {
+		pad = nullRow(len(r.cur[i].cols))
+	}
+	var matched []bool
+	if lv.typ == "right" || lv.typ == "full" {
+		matched = make([]bool, len(rows))
+	}
+	for k := 0; k < np; k++ {
+		for j, row := range prefix[k*i : (k+1)*i] {
+			r.cur[j].row = row
 		}
-		if prof != nil {
-			prof.add("hash-build", pq.sources[0].alias, np, ph.size(), time.Since(t0))
-			t0 = time.Now()
+		cands, m := []int(nil), len(rows)
+		if h != nil {
+			if cands, err = h.match(lv.probe, &r.probe, &kb); err != nil {
+				return err
+			}
+			m = len(cands)
 		}
-		type pair struct{ k, ri int }
-		var pairs []pair
-		for ri, row := range rows {
-			r.cur[i].row = row
-			hits, err := ph.match(lv.build, &r.probe, &kb)
+		sawMatch := false
+		for x := 0; x < m; x++ {
+			ri := x
+			if h != nil {
+				ri = cands[x]
+			}
+			ok, err := r.try(lv, i, rows[ri])
 			if err != nil {
 				return err
 			}
-			for _, k := range hits {
-				pairs = append(pairs, pair{k, ri})
+			if ok {
+				sawMatch = true
+				if matched != nil {
+					matched[ri] = true
+				}
 			}
 		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].k != pairs[b].k {
-				return pairs[a].k < pairs[b].k
-			}
-			return pairs[a].ri < pairs[b].ri
-		})
-		for _, p := range pairs {
-			r.cur[0].row = prefix[p.k]
-			if _, err := r.try(lv, i, rows[p.ri]); err != nil {
+		if !sawMatch && pad != nil {
+			r.cur[i].row = pad
+			if err := r.emit(i, lv.on != nil); err != nil {
 				return err
 			}
 		}
-	} else {
-		var pad []Value
-		if lv.typ == "left" || lv.typ == "full" {
-			pad = nullRow(len(r.cur[i].cols))
+	}
+	if matched != nil {
+		for j := 0; j < i; j++ {
+			r.cur[j].row = nullRow(len(r.cur[j].cols))
 		}
-		var matched []bool
-		if lv.typ == "right" || lv.typ == "full" {
-			matched = make([]bool, len(rows))
-		}
-		for k := 0; k < np; k++ {
-			for j, row := range prefix[k*i : (k+1)*i] {
-				r.cur[j].row = row
-			}
-			cands, m := []int(nil), len(rows)
-			if h != nil {
-				if cands, err = h.match(lv.probe, &r.probe, &kb); err != nil {
+		for ri, row := range rows {
+			if !matched[ri] {
+				r.cur[i].row = row
+				if err := r.emit(i, false); err != nil {
 					return err
-				}
-				m = len(cands)
-			}
-			sawMatch := false
-			for x := 0; x < m; x++ {
-				ri := x
-				if h != nil {
-					ri = cands[x]
-				}
-				ok, err := r.try(lv, i, rows[ri])
-				if err != nil {
-					return err
-				}
-				if ok {
-					sawMatch = true
-					if matched != nil {
-						matched[ri] = true
-					}
-				}
-			}
-			if !sawMatch && pad != nil {
-				r.cur[i].row = pad
-				if err := r.emit(i, lv.on != nil); err != nil {
-					return err
-				}
-			}
-		}
-		if matched != nil {
-			for j := 0; j < i; j++ {
-				r.cur[j].row = nullRow(len(r.cur[j].cols))
-			}
-			for ri, row := range rows {
-				if !matched[ri] {
-					r.cur[i].row = row
-					if err := r.emit(i, false); err != nil {
-						return err
-					}
 				}
 			}
 		}
@@ -773,10 +730,7 @@ func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
 	}
 	if prof != nil {
 		mode, path := "loop", ""
-		switch {
-		case lv.reverse:
-			mode, path = "hash reversed", "build="+pq.sources[0].alias
-		case h != nil:
+		if h != nil {
 			mode, path = "hash", "build="+alias
 		}
 		// Only the last level evaluates the residual; its time is reported

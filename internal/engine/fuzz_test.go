@@ -12,22 +12,19 @@ import (
 	"pi2/internal/sqlparser"
 )
 
-// FuzzExecEquivalence cross-checks the five execution paths on randomly
+// FuzzExecEquivalence cross-checks the three execution paths on randomly
 // generated queries: the interpreter (the executable specification), the
-// compiled plan (the row-path FROM operator: pushdown, hash joins, outer
-// joins; tagged keys, top-K), the forced-index plan (every semantically
-// legal index path taken, cost model bypassed, including the hash level
-// that builds over its prefix), the
-// forced-vec plan (columnar batch execution with the row-count gate
-// bypassed, so the tiny fuzz tables still route through it whenever the
-// query shape is vectorizable) and the forced-index-vec plan (both gates
-// bypassed, so index candidates seed the columnar selections) must return
-// identical tables — same columns, same types, same rows in the same
-// order — or fail with the same error.
+// compiled plan (columnar batch execution whenever the query shape is
+// vectorizable, else the row-path FROM operator: pushdown, hash joins, outer
+// joins; tagged keys, top-K) and the forced-index plan (every semantically
+// legal index path taken, cost model bypassed, so index candidates also
+// seed the columnar selections) must return identical tables — same
+// columns, same types, same rows in the same order — or fail with the same
+// error.
 //
 // Each seed is checked against the freshly-loaded database and again after
 // each of a seed-derived series of DB.Append batches, so the equivalence
-// contract is pinned before and after writes — the five paths must agree on
+// contract is pinned before and after writes — the three paths must agree on
 // the appended rows exactly as they agree on the loaded ones, whether the
 // access structures were extended from a snapshot the paths had read or from
 // a chain of snapshots nobody read.
@@ -102,8 +99,8 @@ func genAppends(t *testing.T, db *DB, r *rand.Rand, check func()) {
 	}
 }
 
-// checkExecEquivalence runs one SQL statement through all five paths and
-// compares outcomes bit for bit.
+// checkExecEquivalence runs one SQL statement through the interpreter,
+// Prepare and prepareForceIndex and compares outcomes bit for bit.
 func checkExecEquivalence(t *testing.T, db *DB, sql string) {
 	t.Helper()
 	ast, err := sqlparser.Parse(sql)
@@ -118,8 +115,6 @@ func checkExecEquivalence(t *testing.T, db *DB, sql string) {
 	}{
 		{"compiled plan", Prepare},
 		{"forced-index plan", prepareForceIndex},
-		{"vectorized plan", prepareForceVec},
-		{"index-fed vectorized plan", prepareForceIndexVec},
 	}
 	for _, m := range modes {
 		name := m.name

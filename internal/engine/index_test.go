@@ -208,7 +208,7 @@ func TestIndexInvalidationOnAdd(t *testing.T) {
 func TestIndexKeySemantics(t *testing.T) {
 	// Keys that exercise the sweep path's equality quirks: -0 vs 0, the
 	// number 1 vs the string '1', NULLs, and a mixed num/str column. All
-	// five execution paths must agree bit for bit. q is large enough for
+	// execution paths must agree bit for bit. q is large enough for
 	// the cost model to choose its equality index unforced.
 	db := NewDB("2020-12-31")
 	q := &Table{
@@ -378,9 +378,19 @@ func TestNaNColumnDisablesIndex(t *testing.T) {
 	} {
 		checkExecEquivalence(t, db, sql)
 	}
-	got := scanPath(t, planFor(t, db, "SELECT m FROM nan WHERE n = 5", prepareForceIndex))
-	if got != "full-scan" {
-		t.Fatalf("forced plan on NaN column used %q, want full-scan", got)
+	// Forced or not, no plan over the NaN column may name an index path,
+	// neither in EXPLAIN nor in the profile.
+	for _, sql := range []string{"SELECT m FROM nan WHERE n = 5", "SELECT m FROM nan WHERE n BETWEEN 0 AND 3"} {
+		plan := planFor(t, db, sql, prepareForceIndex)
+		_, prof, err := plan.ExecProfiled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{plan.Explain(), prof.String()} {
+			if strings.Contains(s, "index-scan") || strings.Contains(s, "range-scan") {
+				t.Fatalf("forced plan on NaN column used an index for %q:\n%s", sql, s)
+			}
+		}
 	}
 }
 
@@ -471,10 +481,11 @@ func TestJoinBuildReusesColumnIndex(t *testing.T) {
 
 func TestReversedBuildSide(t *testing.T) {
 	// tiny (2 rows) probes big (200 rows); big carries a scan predicate so
-	// its build cannot reuse the column index, and the estimate gap makes
-	// the chooser build over tiny instead. The lower() conjunct (always
+	// its build cannot reuse the column index. However lopsided the sizes,
+	// a hash level builds over its own source: the join builds over big and
+	// keeps nested-loop order without a merge. The lower() conjunct (always
 	// true) keeps the query off the vectorized path so the row pipeline's
-	// reversed join stays exercised.
+	// hash level is exercised.
 	db := bigDB()
 	sql := "SELECT big.v, tiny.lbl FROM tiny, big WHERE tiny.k = big.k AND big.v > 50 AND lower(tiny.lbl) >= ''"
 	plan := planFor(t, db, sql, Prepare)
@@ -488,8 +499,8 @@ func TestReversedBuildSide(t *testing.T) {
 			join = op
 		}
 	}
-	if !strings.Contains(join.Detail, "reversed") || join.Path != "build=tiny" {
-		t.Fatalf("expected reversed join building over tiny, got %+v", prof.Ops)
+	if join.Detail != "inner big (hash)" || join.Path != "build=big" {
+		t.Fatalf("expected a hash join building over big, got %+v", prof.Ops)
 	}
 	checkExecEquivalence(t, db, sql)
 }

@@ -3,7 +3,7 @@ package engine
 // Regression tests for the three-valued NULL contract (comparisons, AND/OR/
 // NOT, BETWEEN, IN, LIKE) and for outer-join emission. Every SQL-level case
 // runs through checkExecEquivalence first, so the interpreter and every
-// compiled path (pipeline, forced-index, forced-vec) are asserted bit-for-bit
+// compiled path (Prepare, forced-index) are asserted bit-for-bit
 // identical before the expected rows are checked against the interpreter.
 
 import (
@@ -55,7 +55,7 @@ func nullJoinDB() *DB {
 	return db
 }
 
-// expectRows asserts all five execution paths agree on sql and that the
+// expectRows asserts every execution path agrees on sql and that the
 // result renders (Text, pipe-joined) exactly as want, in order.
 func expectRows(t *testing.T, db *DB, sql string, want []string) {
 	t.Helper()

@@ -63,8 +63,9 @@ const benchJoinSQL = `SELECT f.v, d.label FROM fact AS f, dim AS d WHERE f.k = d
 // BenchmarkEngineJoin times the join shapes: hash is the comma join the
 // vectorized path takes; row-pipeline adds a lower() conjunct that keeps the
 // same join on the row path; row-reversed puts the smaller side first, so
-// the row path's hash level builds over its prefix (chooseBuildSide);
-// join-on and left-join-on are JOIN FROMs, which always run on the row path.
+// its hash level builds over the later, larger source, whose scan predicate
+// keeps the build off the column index; join-on and left-join-on are JOIN
+// FROMs, which always run on the row path.
 func BenchmarkEngineJoin(b *testing.B) {
 	db := benchDB(2000, 200)
 	b.Run("hash", func(b *testing.B) { benchPlan(b, db, benchJoinSQL) })
@@ -229,8 +230,8 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 
 // BenchmarkEngineJoinBuildSide measures a join whose big side carries a
 // scan predicate, which defeats index reuse. The query is vectorizable, so
-// it runs the vectorized join over the filtered build side; the row path's
-// reversed build is timed by BenchmarkEngineJoin/row-reversed.
+// it runs the vectorized join over the filtered build side; a filtered
+// build on the row path is timed by BenchmarkEngineJoin/row-reversed.
 func BenchmarkEngineJoinBuildSide(b *testing.B) {
 	db := benchScanDB()
 	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`)

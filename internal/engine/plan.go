@@ -70,7 +70,7 @@ var ErrStalePlan = errors.New("engine: plan is stale (database mutated since Pre
 // top-K heap for ORDER BY + LIMIT (see sink.go and ARCHITECTURE.md), or
 // through the columnar batch path when the query fits it (vec.go).
 func Prepare(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeCost)
+	return prepare(db, q, false)
 }
 
 // prepareForceIndex compiles like Prepare but makes the access-path chooser
@@ -78,35 +78,12 @@ func Prepare(db *DB, q *dt.Node) (*Plan, error) {
 // thresholds. Test-only: it lets small fixture tables exercise the index
 // paths the cost model reserves for large ones.
 func prepareForceIndex(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeForceIndex)
+	return prepare(db, q, true)
 }
 
-// prepareForceVec compiles like Prepare but makes the vectorized path skip
-// its row-count cost gate — never its eligibility rules, which are semantic.
-// Test-only: it lets tiny fixture tables exercise the columnar operators the
-// cost gate reserves for large ones.
-func prepareForceVec(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeForceVec)
-}
-
-// prepareForceIndexVec bypasses both cost gates at once: every legal index
-// is taken and the vectorized path ignores its size gate, so tiny fixture
-// tables exercise index-seeded columnar scans. Test-only.
-func prepareForceIndexVec(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeForceIndexVec)
-}
-
-// prepMode selects which cost gates prepare bypasses.
-type prepMode uint8
-
-const (
-	modeCost          prepMode = iota // cost-based plan (Prepare)
-	modeForceIndex                    // plan with cost thresholds bypassed
-	modeForceVec                      // plan with the vectorized size gate bypassed
-	modeForceIndexVec                 // both of the above
-)
-
-func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
+// prepare compiles q; force takes every semantically legal index (see
+// prepareForceIndex).
+func prepare(db *DB, q *dt.Node, force bool) (*Plan, error) {
 	if q == nil || q.Kind != dt.KindQuery {
 		return nil, fmt.Errorf("engine: expected query node, got %v", q)
 	}
@@ -115,11 +92,7 @@ func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
 	// the plan reports stale rather than memoizing a torn view.
 	setSnap := db.TableSetGeneration()
 	deps := &depTracker{}
-	c := &compiler{
-		db: db, deps: deps,
-		force:    mode == modeForceIndex || mode == modeForceIndexVec,
-		vecForce: mode == modeForceVec || mode == modeForceIndexVec,
-	}
+	c := &compiler{db: db, deps: deps, force: force}
 	root := c.compileQuery(q, nil)
 	return &Plan{db: db, root: root, deps: deps.deps, setSnap: setSnap, setDep: deps.missing}, nil
 }
@@ -340,11 +313,10 @@ type scope struct {
 }
 
 type compiler struct {
-	db       *DB
-	sc       *scope
-	deps     *depTracker // table dependencies of the whole prepare; may be nil
-	force    bool        // bypass the chooser's cost thresholds (prepareForceIndex)
-	vecForce bool        // bypass the vectorized size gate (prepareForceVec)
+	db    *DB
+	sc    *scope
+	deps  *depTracker // table dependencies of the whole prepare; may be nil
+	force bool        // bypass the chooser's cost thresholds (prepareForceIndex)
 }
 
 func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
@@ -421,7 +393,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 
 	// Expressions compile in this query's scope.
 	sc := &scope{sources: pq.sources, outer: outer}
-	inner := &compiler{db: c.db, sc: sc, deps: c.deps, force: c.force, vecForce: c.vecForce}
+	inner := &compiler{db: c.db, sc: sc, deps: c.deps, force: c.force}
 
 	var whereExpr *dt.Node
 	if where.Kind == dt.KindWhere {

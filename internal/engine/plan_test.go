@@ -203,7 +203,7 @@ func BenchmarkExecPlanned(b *testing.B) {
 // the interpreter's error text and its FALSE-before-error order. A call in a
 // select item is not rewritten, so its column keeps its name.
 func TestFoldLiteralCalls(t *testing.T) {
-	cdb := covidDB(40) // 2,000 rows: past the index and columnar cost gates
+	cdb := covidDB(40) // 2,000 rows: past the index cost gate
 	n := 0
 	for _, sql := range workload.Covid().Queries {
 		if !strings.Contains(sql, "today()") {

@@ -133,8 +133,9 @@ func TestProfileTopKAndGroup(t *testing.T) {
 func TestProfileSingleSourceScanAndString(t *testing.T) {
 	// T has only 5 rows, so the cost model keeps the full sweep — and a
 	// single-source sweep drops the pipeline entirely, falling back to the
-	// in-place cross-filter path.
-	prof := profiled(t, testDB(), "SELECT p FROM T WHERE a = 1")
+	// in-place cross-filter path. The computed select item keeps the query
+	// off the batch path.
+	prof := profiled(t, testDB(), "SELECT p + 1 FROM T WHERE a = 1")
 	ops := opsByName(prof)
 	cf, ok := ops["cross-filter"]
 	if !ok {
@@ -161,8 +162,9 @@ func TestProfileSingleSourceScanAndString(t *testing.T) {
 
 func TestProfileCrossFilterNoWhere(t *testing.T) {
 	// Without a WHERE clause there is no pipeline; the cross product path
-	// still reports its operator.
-	prof := profiled(t, testDB(), "SELECT p FROM T")
+	// still reports its operator. The computed select item keeps the query
+	// off the batch path.
+	prof := profiled(t, testDB(), "SELECT p + 1 FROM T")
 	if _, ok := opsByName(prof)["cross-filter"]; !ok {
 		t.Fatalf("no-WHERE query should use cross-filter: %+v", prof.Ops)
 	}

@@ -260,11 +260,6 @@ type vecPlan struct {
 	gOrder     []gExpr
 }
 
-// minVecRows gates the vectorized path by size: below this the row path is
-// already micro-seconds fast and building columnar storage buys nothing.
-// Forced mode (prepareForceVec) bypasses the gate but never eligibility.
-const minVecRows = 64
-
 // compileVec attaches a vectorized plan to pq when the query is eligible.
 // Must run after the FROM compilation (an index the chooser picked
 // there seeds the source's selection, see runVec) and after
@@ -277,15 +272,10 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 	if n < 1 || n > 2 {
 		return
 	}
-	total := 0
 	for _, ps := range pq.sources {
 		if ps.sub != nil || ps.table == nil {
 			return
 		}
-		total += len(ps.table.Rows)
-	}
-	if !c.vecForce && total < minVecRows {
-		return
 	}
 
 	vp := &vecPlan{

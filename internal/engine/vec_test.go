@@ -56,11 +56,10 @@ func vecDB() *DB {
 	return db
 }
 
-// vecPlanFor prepares sql with the size gate bypassed and asserts whether the
-// vectorized path engaged.
+// vecPlanFor prepares sql and asserts whether the vectorized path engaged.
 func vecPlanFor(t *testing.T, db *DB, sql string, wantVec bool) *Plan {
 	t.Helper()
-	plan := planFor(t, db, sql, prepareForceVec)
+	plan := planFor(t, db, sql, Prepare)
 	if (plan.root.vec != nil) != wantVec {
 		t.Fatalf("vectorized engagement = %v, want %v for %q", plan.root.vec != nil, wantVec, sql)
 	}
@@ -69,8 +68,8 @@ func vecPlanFor(t *testing.T, db *DB, sql string, wantVec bool) *Plan {
 
 // TestVecNullThreeValued checks three-valued logic through the NULL bitmaps:
 // every vectorizable predicate shape must drop NULL operands exactly like the
-// interpreter's Compare-based row path. checkExecEquivalence compares all
-// five execution paths bit for bit; the engagement assertion keeps the test
+// interpreter's Compare-based row path. checkExecEquivalence compares every
+// execution path bit for bit; the engagement assertion keeps the test
 // from passing vacuously through the row fallback.
 func TestVecNullThreeValued(t *testing.T) {
 	db := vecDB()
@@ -145,9 +144,7 @@ func TestVecMixedKeyFallsBack(t *testing.T) {
 
 	// A NaN in a key column also disqualifies it: joinKeyBits would key NaN
 	// by bit pattern, which cannot express Compare's NaN-equals-any-number
-	// degeneracy. (The interpreter and the row hash join already disagree on
-	// NaN keys — a pre-existing degeneracy outside this layer's contract —
-	// so the check here is only that the vectorized path declines.)
+	// degeneracy.
 	db.Add(&Table{
 		Name:  "zn",
 		Cols:  []string{"k"},
@@ -155,18 +152,8 @@ func TestVecMixedKeyFallsBack(t *testing.T) {
 		Rows:  [][]Value{{NumVal(math.NaN())}, {NumVal(4)}},
 	})
 	sql = "SELECT za.id FROM za, zn WHERE za.k = zn.k"
-	plan := vecPlanFor(t, db, sql, false)
-	got, err := plan.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := planFor(t, db, sql, Prepare).Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("forced-vec fallback diverged from Prepare: %d vs %d rows", len(got.Rows), len(want.Rows))
-	}
+	vecPlanFor(t, db, sql, false)
+	checkExecEquivalence(t, db, sql)
 }
 
 // TestVecOrderRestoration checks that vectorized output comes back in scan
@@ -287,7 +274,7 @@ func TestVecBatchHook(t *testing.T) {
 
 // TestVecDisabledPathAllocFree pins the cost of the columnar layer when it is
 // not in use: counter reads and disabled-hook batch notes allocate nothing,
-// and queries the chooser routes to the row path carry no vec plan.
+// and a query the batch path refuses carries no vec plan.
 func TestVecDisabledPathAllocFree(t *testing.T) {
 	db := vecDB()
 	if n := testing.AllocsPerRun(100, func() { db.noteBatch(512) }); n != 0 {
@@ -296,11 +283,24 @@ func TestVecDisabledPathAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = db.ColumnarCounters() }); n != 0 {
 		t.Fatalf("ColumnarCounters allocates %v per run", n)
 	}
-	// Under the default size gate these tables are far below minVecRows, so
-	// plain Prepare must leave the vectorized plan off entirely.
-	plan := planFor(t, db, "SELECT x FROM v WHERE x > 2", Prepare)
-	if plan.root.vec != nil {
-		t.Fatal("size gate did not keep a tiny table on the row path")
+	// A computed select item is outside the batch path's query class.
+	vecPlanFor(t, db, "SELECT x + 1 FROM v WHERE x > 2", false)
+}
+
+// TestVecSmallTable checks that table size never decides the execution
+// path: an eligible query over a 5-row table gets a batch plan from plain
+// Prepare, and its result equals the interpreter's.
+func TestVecSmallTable(t *testing.T) {
+	db := vecDB()
+	if tb, _ := db.Table("zb"); len(tb.Rows) != 5 {
+		t.Fatalf("fixture zb has %d rows, want 5", len(tb.Rows))
+	}
+	for _, sql := range []string{
+		"SELECT id, k FROM zb WHERE k >= 0 ORDER BY k",
+		"SELECT k, count(*) FROM zb GROUP BY k",
+	} {
+		vecPlanFor(t, db, sql, true)
+		checkExecEquivalence(t, db, sql)
 	}
 }
 
@@ -434,7 +434,7 @@ func denseQueries() []string {
 }
 
 // TestVecDenseKernels checks the dense range kernel against the interpreter
-// on all five paths, including Compare's NaN rule (BETWEEN, =, <= and >=
+// on every path, including Compare's NaN rule (BETWEEN, =, <= and >=
 // keep a NaN cell; <>, < and > drop it). An Append that adds a NULL to x
 // takes x's predicates off the dense kernel, and one that then adds a string
 // takes them off the numeric fast path altogether; results must still match.
@@ -495,8 +495,8 @@ func TestVecConcurrentExec(t *testing.T) {
 		prep func(*DB, *dt.Node) (*Plan, error)
 	}{
 		{"SELECT k, count(*) FROM d WHERE x BETWEEN -1 AND 3 GROUP BY k", Prepare},
-		{"SELECT k, count(*) FROM d WHERE y BETWEEN 10 AND 20 GROUP BY k", prepareForceIndexVec},
-		{"SELECT x, y FROM d WHERE y BETWEEN 90 AND 95 AND x >= 0", prepareForceIndexVec},
+		{"SELECT k, count(*) FROM d WHERE y BETWEEN 10 AND 20 GROUP BY k", prepareForceIndex},
+		{"SELECT x, y FROM d WHERE y BETWEEN 90 AND 95 AND x >= 0", prepareForceIndex},
 		{"SELECT d.y, e.lbl FROM d, e WHERE d.k = e.k AND d.y < 5", Prepare},
 		{"SELECT DISTINCT k FROM d WHERE y > 50", Prepare},
 		{"SELECT k, lbl FROM e WHERE k < (SELECT count(*) FROM d WHERE y BETWEEN 1 AND 3 AND x > 0)", Prepare},

@@ -43,7 +43,7 @@ func TestSessionEvictionPrecision(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	warmCompiles := plans.Compiles()
+	warmCompiles := plans.compiles.Load()
 
 	// Unrelated write: Cars is not referenced by any tree.
 	if err := db.Append("Cars", [][]engine.Value{{
@@ -61,7 +61,7 @@ func TestSessionEvictionPrecision(t *testing.T) {
 	if st.Invalidations != 0 {
 		t.Fatalf("after unrelated write: invalidations = %d, want 0", st.Invalidations)
 	}
-	if got := plans.Compiles(); got != warmCompiles {
+	if got := plans.compiles.Load(); got != warmCompiles {
 		t.Fatalf("after unrelated write: plan compiles %d -> %d (shared plan must stay resident)", warmCompiles, got)
 	}
 
@@ -78,9 +78,9 @@ func TestSessionEvictionPrecision(t *testing.T) {
 	if st.ResultHits != 1 {
 		t.Fatalf("after write to T: result hits = %d, want still 1", st.ResultHits)
 	}
-	if plans.Compiles() != warmCompiles+1 {
+	if plans.compiles.Load() != warmCompiles+1 {
 		t.Fatalf("after write to T: plan compiles = %d, want %d (stale plan recompiled once)",
-			plans.Compiles(), warmCompiles+1)
+			plans.compiles.Load(), warmCompiles+1)
 	}
 	// The recomputed result must include the appended row (p=1, a=1 matches
 	// the initial binding a = 1).
@@ -114,8 +114,9 @@ func TestSessionStaleExecRetries(t *testing.T) {
 		t.Fatalf("one-shot mid-request write should be retried away, got %v", err)
 	}
 
+	// A write makes the kept result stale, so the next read executes.
+	appendT(t, db)
 	sess.execHook = func() { appendT(t, db) } // sustained writer
-	sess.ResetCache()
 	if _, err := sess.Results(); !errors.Is(err, engine.ErrStalePlan) {
 		t.Fatalf("sustained mid-request writer: err = %v, want ErrStalePlan", err)
 	}

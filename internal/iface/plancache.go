@@ -284,18 +284,6 @@ func (sh *planShard) drop(e *planEntry) {
 	}
 }
 
-// clear drops every entry and its result, keeping the counters. No
-// execution may be in flight.
-func (pc *PlanCache) clear() {
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		sh.mu.Lock()
-		sh.lru = newLRU[uint64, *planEntry](maxSharedPlansPerShd)
-		sh.cells = 0
-		sh.mu.Unlock()
-	}
-}
-
 // Len reports the number of resident plans across all shards.
 func (pc *PlanCache) Len() int {
 	n := 0
@@ -307,8 +295,3 @@ func (pc *PlanCache) Len() int {
 	}
 	return n
 }
-
-// Compiles reports how many Prepare calls actually ran — under single
-// flight this stays at one per distinct (query, generation) no matter how
-// many sessions request it concurrently.
-func (pc *PlanCache) Compiles() uint64 { return pc.compiles.Load() }

@@ -148,7 +148,7 @@ func TestRegistryStress(t *testing.T) {
 	// shared single-flight cache must have compiled and executed each
 	// exactly once no matter how many sessions raced for it: every other
 	// read was served without executing.
-	if n := pc.Compiles(); n != uint64(len(values)) {
+	if n := pc.compiles.Load(); n != uint64(len(values)) {
 		t.Fatalf("shared plan compiles = %d, want %d", n, len(values))
 	}
 	if n := pc.execs.Load(); n != uint64(len(values)) {

@@ -342,7 +342,7 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := pc.Compiles(); n != 1 {
+	if n := pc.compiles.Load(); n != 1 {
 		t.Fatalf("compiles = %d, want 1 (one distinct resolved query)", n)
 	}
 	if n := pc.execs.Load(); n != 1 {
@@ -363,7 +363,7 @@ func TestSharedPlanCacheCompilesOnceAcrossSessions(t *testing.T) {
 	if _, err := sess.Results(); err != nil {
 		t.Fatal(err)
 	}
-	if n, x := pc.Compiles(), pc.execs.Load(); n != 2 || x != 2 {
+	if n, x := pc.compiles.Load(), pc.execs.Load(); n != 2 || x != 2 {
 		t.Fatalf("compiles, execs = %d, %d, want 2, 2", n, x)
 	}
 }

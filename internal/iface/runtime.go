@@ -47,8 +47,7 @@ type Session struct {
 	// skips Resolve and re-hashing.
 	resolved []*lruCache[uint64, resolvedAST]
 
-	plans    *PlanCache // resolved-AST hash -> compiled plan and its result
-	ownPlans bool       // plans is this session's alone; ResetCache clears it
+	plans *PlanCache // resolved-AST hash -> compiled plan and its result
 
 	// execHook, when set, runs between plan resolution and execution on
 	// every attempt that executes, on the cached-execution and explain
@@ -69,10 +68,10 @@ func NewSession(ifc *Interface, ctx *transform.Context, db *engine.DB) (*Session
 // resolved query once. A nil plans gives the session a PlanCache of its
 // own, as NewSession does.
 func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, plans *PlanCache) (*Session, error) {
-	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans, ownPlans: plans == nil}
-	if s.ownPlans {
-		s.plans = NewPlanCache()
+	if plans == nil {
+		plans = NewPlanCache()
 	}
+	s := &Session{Ifc: ifc, Ctx: ctx, DB: db, plans: plans}
 	for ti, tree := range ifc.State.Trees {
 		qb, ok := tree.Bind(ctx)
 		if !ok || len(qb.PerQuery) == 0 {
@@ -89,23 +88,6 @@ func NewSessionWithPlans(ifc *Interface, ctx *transform.Context, db *engine.DB, 
 // (the counters are atomics), so monitoring never blocks on — and never
 // blocks — an in-flight interaction holding the session mutex.
 func (s *Session) Stats() CacheStats { return s.plans.stats() }
-
-// ResetCache drops the session's resolution memo and, when the session owns
-// its PlanCache, the cache's plans and results (its counters are kept): the
-// next interaction takes the full resolve/plan/execute path. A shared
-// PlanCache is not flushed — it belongs to every session, and its entries
-// are validated per use against the generations of the tables they read,
-// so they can never serve stale plans or results.
-func (s *Session) ResetCache() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.resolved {
-		s.resolved[i] = newLRU[uint64, resolvedAST](maxResolvedPerTree)
-	}
-	if s.ownPlans { // only this session executes on it, and it holds s.mu
-		s.plans.clear()
-	}
-}
 
 // Binding exposes the current binding of a tree (for tests). It returns a
 // deep copy: the live map is mutated in place by widget events, so handing
