@@ -46,6 +46,7 @@ type rowEnv struct {
 	outer     *rowEnv
 	groupRows []*rowEnv
 	x         *execScratch // compiled plans only: set on an Exec's root environment
+	group     *vecGroup    // compiled plans only: a batch group, whose aggregates are accumulated
 }
 
 func (e *rowEnv) lookup(name string) (Value, bool) {

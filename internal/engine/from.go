@@ -87,13 +87,13 @@ type level struct {
 
 // hashSide is a built hash table over one source's filtered rows: bucket
 // lists hold row indexes in scan order so probing emits matches in the same
-// order the nested loop would have visited them. A build that borrows the
-// column's hash index (a single bare-column key over the whole table) sets
-// col instead and is probed by value.
+// order the nested loop would have visited them. A side built here keys its
+// buckets by the encoded join key (appendJoinKey) in built.idx. A build that
+// borrows the column's hash index (a single bare-column key over the whole
+// table) sets col instead and is probed by value.
 type hashSide struct {
-	idx     map[string]int
-	buckets [][]int
-	col     *hashIndex
+	built *hashIndex
+	col   *hashIndex
 }
 
 // size is the number of distinct build keys, for profiles.
@@ -101,7 +101,7 @@ func (h *hashSide) size() int {
 	if h.col != nil {
 		return h.col.size()
 	}
-	return len(h.buckets)
+	return h.built.size()
 }
 
 // match evaluates the probe keys against env and returns the build rows
@@ -119,8 +119,8 @@ func (h *hashSide) match(keys []exprFn, env *rowEnv, kb *[]byte) ([]int, error) 
 		b = appendJoinKey(b, v)
 	}
 	*kb = b
-	if bi, ok := h.idx[string(b)]; ok {
-		return h.buckets[bi], nil
+	if bi, ok := h.built.idx[string(b)]; ok {
+		return h.built.bucket(bi), nil
 	}
 	return nil, nil
 }
@@ -488,13 +488,18 @@ func (r *fromRun) levelHash(i int, rows [][]Value) (*hashSide, error) {
 }
 
 // buildHashSide hashes rows by keys evaluated with the row bound at frame i.
-// Rows with a NULL key value are excluded — `=` never matches NULL.
+// Rows with a NULL key value are excluded — `=` never matches NULL. Like a
+// column index, it numbers the keys and counts their rows in one pass, then
+// lays the buckets out back to back (hashIndex.layout).
 func buildHashSide(rows [][]Value, keys []exprFn, i int, cur []frame, probe *rowEnv) (*hashSide, error) {
-	h := &hashSide{idx: make(map[string]int, len(rows))}
+	h := &hashIndex{n: len(rows), idx: make(map[string]int32, len(rows))}
+	ids := make([]int32, len(rows))
+	var counts []int32
 	var kb []byte
 	for ri, row := range rows {
 		cur[i].row = row
 		kb = kb[:0]
+		ids[ri] = -1
 		null := false
 		for _, kf := range keys {
 			v, err := kf(probe)
@@ -510,14 +515,17 @@ func buildHashSide(rows [][]Value, keys []exprFn, i int, cur []frame, probe *row
 		if null {
 			continue
 		}
-		if bi, ok := h.idx[string(kb)]; ok {
-			h.buckets[bi] = append(h.buckets[bi], ri)
-		} else {
-			h.idx[string(kb)] = len(h.buckets)
-			h.buckets = append(h.buckets, []int{ri})
+		bi, ok := h.idx[string(kb)]
+		if !ok {
+			bi = int32(len(counts))
+			h.idx[string(kb)] = bi
+			counts = append(counts, 0)
 		}
+		counts[bi]++
+		ids[ri] = bi
 	}
-	return h, nil
+	h.layout(nil, counts, ids, func(k int) int { return k })
+	return &hashSide{built: h}, nil
 }
 
 // residualPass evaluates the residual chain with Kleene semantics: FALSE

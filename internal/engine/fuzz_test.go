@@ -365,18 +365,42 @@ func genQuery(r *rand.Rand) string {
 			aggCol = gcol
 		}
 		aggs := []string{"count(*)", "count(%s)", "sum(%s)", "avg(%s)", "min(%s)", "max(%s)"}
-		agg := aggs[r.Intn(len(aggs))]
-		if strings.Contains(agg, "%s") {
-			agg = fmt.Sprintf(agg, aggCol)
+		pickAgg := func() string {
+			agg := aggs[r.Intn(len(aggs))]
+			if strings.Contains(agg, "%s") {
+				agg = fmt.Sprintf(agg, aggCol)
+			}
+			return agg
 		}
+		agg := pickAgg()
 		fmt.Fprintf(&sb, "%s, %s AS m", gcol, agg)
+		// An item computed over an aggregate; arithmetic on a string min or
+		// max, and a sum over a string column, error per group.
+		if r.Intn(3) == 0 {
+			calc := []string{"count(*) * 2", fmt.Sprintf("sum(%s) + 1", aggCol), agg + " - 1"}[r.Intn(3)]
+			fmt.Fprintf(&sb, ", %s AS m2", calc)
+		}
 		fmt.Fprintf(&sb, " FROM %s", fromSQL)
 		writeWhere(&sb, conjs)
 		fmt.Fprintf(&sb, " GROUP BY %s", gcol)
-		if r.Intn(2) == 0 {
+		switch r.Intn(4) {
+		case 0:
 			fmt.Fprintf(&sb, " HAVING %s >= %d", agg, r.Intn(3))
+		case 1: // two conjuncts: which one errors first, or short-circuits, is order-sensitive
+			first := fmt.Sprintf("%s >= %d", agg, r.Intn(3))
+			second := fmt.Sprintf("%s < %d", pickAgg(), r.Intn(6))
+			if c, ok := strCol(gsrc); ok && r.Intn(2) == 0 {
+				second = fmt.Sprintf("sum(%s) > 0", c)
+			}
+			if r.Intn(2) == 0 {
+				first, second = second, first
+			}
+			fmt.Fprintf(&sb, " HAVING %s %s %s", first, []string{"AND", "OR"}[r.Intn(2)], second)
+		case 2: // scalar subquery correlated on the group key
+			q := genSource{alias: "q", tbl: genTables[r.Intn(len(genTables))]}
+			fmt.Fprintf(&sb, " HAVING %s >= (SELECT count(*) FROM %s AS q WHERE %s = %s)", agg, q.tbl.name, anyCol(q), gcol)
 		}
-		orderCols = []string{gcol, agg}
+		orderCols = []string{gcol, agg, agg + " * 2"}
 	} else {
 		nItems := 1 + r.Intn(2)
 		var items []string

@@ -82,8 +82,10 @@ func BenchmarkEngineJoin(b *testing.B) {
 }
 
 // BenchmarkEngineCorrelated times the Sales dashboard's correlated HAVING
-// subquery: the inner query runs once per outer group and sweeps the fact
-// table with a correlated predicate, a single-source row-path scan.
+// subquery. The outer level runs on the batch path and evaluates the
+// compiled HAVING per group; the inner query runs once per outer group and
+// sweeps the fact table with a correlated predicate, a single-source
+// row-path scan.
 func BenchmarkEngineCorrelated(b *testing.B) {
 	db := benchDB(1000, 4)
 	benchPlan(b, db, `SELECT grp, k, sum(v) FROM fact AS ff GROUP BY grp, k HAVING sum(v) >= `+

@@ -290,6 +290,12 @@ type planQuery struct {
 	groupBy    []exprFn
 	having     exprFn
 
+	// aggs lists the level's aggregates the batch path accumulates, each
+	// once (internAgg, vec.go); aggMiss marks an aggregate it cannot, which
+	// keeps a grouped level on the row path.
+	aggs    []vecAgg
+	aggMiss bool
+
 	order     []exprFn
 	orderDesc []bool
 
@@ -315,6 +321,7 @@ type scope struct {
 type compiler struct {
 	db    *DB
 	sc    *scope
+	pq    *planQuery  // the level whose expressions compile here (internAgg)
 	deps  *depTracker // table dependencies of the whole prepare; may be nil
 	force bool        // bypass the chooser's cost thresholds (prepareForceIndex)
 }
@@ -393,7 +400,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 
 	// Expressions compile in this query's scope.
 	sc := &scope{sources: pq.sources, outer: outer}
-	inner := &compiler{db: c.db, sc: sc, deps: c.deps, force: c.force}
+	inner := &compiler{db: c.db, sc: sc, pq: pq, deps: c.deps, force: c.force}
 
 	var whereExpr *dt.Node
 	if where.Kind == dt.KindWhere {
@@ -436,7 +443,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 	// Vectorized path (vec.go): attach a columnar batch plan when the whole
 	// query is recognizably vectorizable; otherwise pq.vec stays nil and the
 	// row paths above run untouched.
-	inner.compileVec(pq, sel, whereExpr, groupby, having, orderby)
+	inner.compileVec(pq, sel, whereExpr, groupby, orderby)
 
 	// Output schema, computed once: reuse the interpreter's naming and type
 	// inference over pseudo-sources so the result header is bit-identical.
@@ -620,21 +627,11 @@ func (pq *planQuery) runRows(tables []*Table, outer *rowEnv, prof *Profile, sink
 			} else {
 				genv.groupRows = []*rowEnv{} // empty group: count(*)=0
 			}
-			if pq.having != nil {
-				hv, err := pq.having(genv)
-				if err != nil {
-					return err
-				}
-				if !hv.Truthy() {
-					continue
-				}
-			}
-			row, keys, err := pq.projectRow(genv)
+			ok, err := pq.emitGroup(genv, sink)
 			if err != nil {
 				return err
 			}
-			sink.add(row, keys)
-			offered++
+			offered += b2i(ok)
 		}
 		if prof != nil {
 			prof.add("project", "", len(groups), offered, time.Since(tProj))
@@ -657,6 +654,26 @@ func (pq *planQuery) runRows(tables []*Table, outer *rowEnv, prof *Profile, sink
 	}
 	*offeredOut = offered
 	return nil
+}
+
+// emitGroup is the per-group output step of both paths: genv binds the
+// group's representative row (no frames for an empty implicit group) and its
+// aggregates. HAVING filters the group, then the select items and order keys
+// evaluate, in that order, and the row goes to sink. It reports whether the
+// group was offered.
+func (pq *planQuery) emitGroup(genv *rowEnv, sink *rowSink) (bool, error) {
+	if pq.having != nil {
+		hv, err := pq.having(genv)
+		if err != nil || !hv.Truthy() {
+			return false, err
+		}
+	}
+	row, keys, err := pq.projectRow(genv)
+	if err != nil {
+		return false, err
+	}
+	sink.add(row, keys)
+	return true, nil
 }
 
 // groupRows partitions rows into groups by the compiled GROUP BY key in
@@ -1152,7 +1169,25 @@ func (c *compiler) compileFunc(e *dt.Node) exprFn {
 	}
 }
 
+// compileAggregate compiles an aggregate call. One the batch path
+// accumulates (internAgg) reads its value from a batch group's env, and
+// every other env takes the row path's closure.
 func (c *compiler) compileAggregate(e *dt.Node) exprFn {
+	fn := c.compileRowAggregate(e)
+	ai := c.internAgg(e)
+	if ai < 0 {
+		return fn
+	}
+	return func(env *rowEnv) (Value, error) {
+		if env.group != nil {
+			return env.group.value(ai)
+		}
+		return fn(env)
+	}
+}
+
+// compileRowAggregate compiles an aggregate that iterates env's group rows.
+func (c *compiler) compileRowAggregate(e *dt.Node) exprFn {
 	name := e.Label
 	outsideGroup := fmt.Errorf("engine: aggregate %s() outside grouping context", name)
 	star := len(e.Children) == 1 && e.Children[0].Kind == dt.KindStar

@@ -8,6 +8,7 @@ package engine_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pi2/internal/dataset"
@@ -54,6 +55,33 @@ func TestPlannedExecutionMatchesInterpreterOnAllWorkloads(t *testing.T) {
 					t.Fatalf("%s[%d]: row %d differs:\n  interpreter %v\n  planned     %v\n  sql: %s",
 						log.Name, qi, ri, direct.Rows[ri], planned.Rows[ri], sql)
 				}
+			}
+		}
+	}
+}
+
+// TestCuratedOuterLevelsBatched checks that the outermost level of every
+// curated query runs on the columnar batch path, read from EXPLAIN's
+// unindented scan lines. Connect 1–2 are the exception: their computed
+// `id IN (…) AS color` item keeps a non-grouped level on the row path.
+func TestCuratedOuterLevelsBatched(t *testing.T) {
+	db := dataset.NewDB()
+	for _, log := range workload.All() {
+		for qi, sql := range log.Queries {
+			plan, err := engine.Prepare(db, sqlparser.MustParse(sql))
+			if err != nil {
+				t.Fatalf("%s[%d]: prepare: %v", log.Name, qi, err)
+			}
+			ex := plan.Explain()
+			batched := strings.HasPrefix(ex, "scan ")
+			for _, line := range strings.Split(ex, "\n") {
+				if strings.HasPrefix(line, "scan ") && !strings.Contains(line, "vectorized") {
+					batched = false
+				}
+			}
+			want := log.Name != "Connect" || (qi != 1 && qi != 2)
+			if batched != want {
+				t.Errorf("%s[%d]: batched = %v, want %v\n%s\n%s", log.Name, qi, batched, want, sql, ex)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	dt "pi2/internal/difftree"
 )
@@ -22,9 +21,13 @@ import (
 //     raw column data reproduces appendJoinKey's `=` coercion bit for bit
 //     (key.go: joinKeyBits / raw strings). Mixed-type or NaN-bearing key
 //     columns fall back to the row path's encoded-key hash join;
-//   - select items, GROUP BY keys and ORDER BY keys are bare local columns
-//     (grouped queries additionally allow literals and count/sum/avg/min/max
-//     over a bare column, and HAVING one comparison over those atoms).
+//   - a non-grouped query's select items and ORDER BY keys are bare local
+//     columns;
+//   - a grouped query's GROUP BY keys are bare local columns, and each of
+//     its aggregates is count(*) or count/sum/avg/min/max over a bare local
+//     column, which the batch path accumulates (internAgg). Its select
+//     items, HAVING and ORDER BY keys may be any expression, subqueries
+//     included: they run as the plan's compiled closures, once per group.
 //
 // Everything else keeps the row path. An index the cost chooser picked
 // for a source does not disqualify the query: its candidate rows seed that
@@ -36,9 +39,9 @@ import (
 // the pushdown/hoisting soundness argument from from.go applies
 // wholesale, and the runtime (vecexec.go) re-materializes batch output in
 // the interpreter's nested-loop scan order, so the vectorized path is
-// bit-identical to the other paths — including
-// error text, which for grouped plans is replayed per group in exactly the
-// row path's HAVING → select items → order keys evaluation order.
+// bit-identical to the other paths — including error text: a grouped plan
+// runs the row path's own per-group step (planQuery.emitGroup), HAVING →
+// select items → order keys, over the batch-accumulated aggregates.
 
 // vecCol identifies one column of one FROM source.
 type vecCol struct{ src, col int }
@@ -204,33 +207,6 @@ type vecAgg struct {
 	strErr error  // precomputed "engine: sum()/avg() over strings"
 }
 
-type gExprKind uint8
-
-const (
-	gLit gExprKind = iota
-	gCol
-	gAgg
-)
-
-// gExpr is a per-group scalar: a literal, a representative-row column, or a
-// precomputed aggregate.
-type gExpr struct {
-	kind       gExprKind
-	lit        Value
-	col        vecCol
-	lower      string // lowered name for the empty-group outer-scope lookup
-	errUnknown error  // "unknown column" with the original spelling
-	agg        int    // index into vecPlan.aggs
-}
-
-// gCmp is the recognized HAVING shape: one comparison (or one bare atom,
-// judged by truthiness).
-type gCmp struct {
-	cmp  bool
-	op   vecCmpOp
-	l, r gExpr
-}
-
 // vecPlan is the compiled vectorized query.
 type vecPlan struct {
 	nsrc      int
@@ -250,21 +226,17 @@ type vecPlan struct {
 	orderCols []vecCol
 	distinct  bool // vec dedupes itself; the sink's distinct is disabled
 
-	// grouped output
-	grouped    bool
-	hasGroupBy bool
-	groupBy    []vecCol
-	aggs       []vecAgg
-	gItems     []gExpr
-	gHaving    *gCmp
-	gOrder     []gExpr
+	// grouped output: group ids from bare-column keys, then the level's
+	// aggregates (planQuery.aggs) accumulated per group
+	groupBy []vecCol
 }
 
 // compileVec attaches a vectorized plan to pq when the query is eligible.
 // Must run after the FROM compilation (an index the chooser picked
-// there seeds the source's selection, see runVec) and after
-// grouped/hasStar/distinct are known. c must be the inner (scoped) compiler.
-func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderby *dt.Node) {
+// there seeds the source's selection, see runVec) and after the select
+// items, HAVING and ORDER BY keys compiled, interning their aggregates.
+// c must be the inner (scoped) compiler.
+func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, orderby *dt.Node) {
 	if pq.err != nil || pq.hasJoin || pq.hasStar {
 		return
 	}
@@ -284,8 +256,6 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 		cols:      make([]*tableCols, n),
 		scanPreds: make([][]vecPred, n),
 		key0:      -1, key1: -1,
-		grouped:    pq.grouped,
-		hasGroupBy: pq.hasGroupBy,
 	}
 	for i, ps := range pq.sources {
 		tc := c.db.columnsFor(ps.table)
@@ -338,10 +308,21 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderb
 		vp.cross = append(vp.cross, vecCross{op: vecEq, l: vecCol{0, eq.l.col}, r: vecCol{1, eq.r.col}})
 	}
 
-	// Output shapes.
+	// Output shapes. A grouped level needs bare-column GROUP BY keys and
+	// every aggregate interned; its HAVING, select items and order keys run
+	// as the compiled closures, per group (vecEmitGrouped).
 	if pq.grouped {
-		if !c.vecGrouped(vp, sel, groupby, having, orderby) {
+		if pq.aggMiss {
 			return
+		}
+		if groupby.Kind == dt.KindGroupBy {
+			for _, g := range groupby.Children {
+				col, ok := c.vecLocalCol(g)
+				if !ok {
+					return
+				}
+				vp.groupBy = append(vp.groupBy, col)
+			}
 		}
 	} else {
 		for _, item := range sel.Children {
@@ -497,92 +478,6 @@ func (c *compiler) cmpLitPred(vp *vecPlan, col vecCol, op vecCmpOp, lit Value) v
 	return p
 }
 
-// vecGrouped recognizes the grouped output shapes: GROUP BY keys are bare
-// columns; select items, HAVING operands and ORDER BY keys are atoms
-// (literal, bare column, or aggregate over a bare column).
-func (c *compiler) vecGrouped(vp *vecPlan, sel, groupby, having, orderby *dt.Node) bool {
-	if groupby.Kind == dt.KindGroupBy {
-		for _, g := range groupby.Children {
-			col, ok := c.vecLocalCol(g)
-			if !ok {
-				return false
-			}
-			vp.groupBy = append(vp.groupBy, col)
-		}
-	}
-	for _, item := range sel.Children {
-		a, ok := c.gAtom(vp, item.Children[0])
-		if !ok {
-			return false
-		}
-		vp.gItems = append(vp.gItems, a)
-	}
-	if having.Kind == dt.KindHaving {
-		h := having.Children[0]
-		if h.Kind == dt.KindBinary {
-			if op, okOp := vecOpFor(h.Label); okOp && len(h.Children) == 2 {
-				l, okL := c.gAtom(vp, h.Children[0])
-				r, okR := c.gAtom(vp, h.Children[1])
-				if !okL || !okR {
-					return false
-				}
-				vp.gHaving = &gCmp{cmp: true, op: op, l: l, r: r}
-			} else {
-				return false
-			}
-		} else {
-			a, ok := c.gAtom(vp, h)
-			if !ok {
-				return false
-			}
-			vp.gHaving = &gCmp{l: a}
-		}
-	}
-	for _, oi := range orderItems(orderby) {
-		a, ok := c.gAtom(vp, oi.Children[0])
-		if !ok {
-			return false
-		}
-		vp.gOrder = append(vp.gOrder, a)
-	}
-	return true
-}
-
-// gAtom recognizes one grouped-context atom, interning aggregates.
-func (c *compiler) gAtom(vp *vecPlan, e *dt.Node) (gExpr, bool) {
-	switch e.Kind {
-	case dt.KindNumber:
-		lit, ok := litValue(e)
-		if !ok {
-			return gExpr{}, false
-		}
-		return gExpr{kind: gLit, lit: lit}, true
-	case dt.KindString:
-		return gExpr{kind: gLit, lit: StrVal(e.Label)}, true
-	case dt.KindIdent:
-		col, ok := c.vecLocalCol(e)
-		if !ok {
-			return gExpr{}, false
-		}
-		return gExpr{
-			kind:       gCol,
-			col:        col,
-			lower:      strings.ToLower(e.Label),
-			errUnknown: fmt.Errorf("engine: unknown column %q", e.Label),
-		}, true
-	case dt.KindFunc:
-		if !isAggregate(e.Label) {
-			return gExpr{}, false
-		}
-		a, ok := c.vecAggregate(e)
-		if !ok {
-			return gExpr{}, false
-		}
-		return gExpr{kind: gAgg, agg: vp.internAgg(a)}, true
-	}
-	return gExpr{}, false
-}
-
 func (c *compiler) vecAggregate(e *dt.Node) (vecAgg, bool) {
 	name := e.Label
 	star := len(e.Children) == 1 && e.Children[0].Kind == dt.KindStar
@@ -613,13 +508,21 @@ func (c *compiler) vecAggregate(e *dt.Node) (vecAgg, bool) {
 	return vecAgg{}, false
 }
 
-// internAgg dedupes aggregates by (kind, column) and returns the index.
-func (vp *vecPlan) internAgg(a vecAgg) int {
-	for i := range vp.aggs {
-		if vp.aggs[i].kind == a.kind && vp.aggs[i].col == a.col {
+// internAgg adds aggregate e to its level's list when the batch path can
+// accumulate it — count(*), or count/sum/avg/min/max over a bare local
+// column — and returns its index; equal aggregates share one entry. Any
+// other aggregate returns -1 and sets the level's aggMiss.
+func (c *compiler) internAgg(e *dt.Node) int {
+	a, ok := c.vecAggregate(e)
+	if !ok {
+		c.pq.aggMiss = true
+		return -1
+	}
+	for i := range c.pq.aggs {
+		if c.pq.aggs[i].kind == a.kind && c.pq.aggs[i].col == a.col {
 			return i
 		}
 	}
-	vp.aggs = append(vp.aggs, a)
-	return len(vp.aggs) - 1
+	c.pq.aggs = append(c.pq.aggs, a)
+	return len(c.pq.aggs) - 1
 }

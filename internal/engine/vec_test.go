@@ -304,6 +304,43 @@ func TestVecSmallTable(t *testing.T) {
 	}
 }
 
+// TestVecGroupedClosures checks that a grouped level whose GROUP BY keys
+// are bare columns and whose aggregates the batch path accumulates takes the
+// batch plan whatever its select items, HAVING and ORDER BY keys are, and
+// that it matches the interpreter, error text included: per group, the
+// batch path runs the plan's compiled HAVING, items and order keys.
+func TestVecGroupedClosures(t *testing.T) {
+	db := testDB()
+	for _, q := range []struct{ sql, err string }{
+		// The parser wraps every HAVING in an AND node.
+		{"SELECT dept, avg(salary) FROM emp GROUP BY dept HAVING avg(salary) > 90", ""},
+		{"SELECT dept, count(*) * 2 + max(salary) AS c FROM emp GROUP BY dept", ""},
+		{"SELECT dept, sum(salary) FROM emp GROUP BY dept ORDER BY sum(salary) / count(*) DESC", ""},
+		{"SELECT dept, sum(salary) FROM emp AS e GROUP BY dept HAVING sum(salary) >= (SELECT max(salary) FROM emp AS f WHERE f.dept = e.dept) + 100", ""},
+		// A sum over strings errors only when its conjunct is evaluated.
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 AND sum(dept) > 0", ""},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING sum(dept) > 0 AND count(*) > 5", "engine: sum() over strings"},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 1 OR sum(dept) > 0", ""},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 OR avg(dept) > 0", "engine: avg() over strings"},
+		// The empty implicit group: a bare column is unknown at the root,
+		// and found in the enclosing group's row from a subquery.
+		{"SELECT dept, count(*) FROM emp WHERE salary > 1000", `engine: unknown column "dept"`},
+		{"SELECT dept, count(*) FROM emp AS e GROUP BY dept HAVING (SELECT dept, count(*) FROM emp AS f WHERE f.salary > 1000) = 'eng'", ""},
+		{"SELECT name, city, count(*), sum(salary) FROM emp, dept WHERE emp.dept = dept.name GROUP BY name HAVING count(*) > 1 OR city = 'SF' ORDER BY city", ""},
+		{"SELECT DISTINCT count(*) FROM T GROUP BY p", ""},
+	} {
+		vecPlanFor(t, db, q.sql, true)
+		checkExecEquivalence(t, db, q.sql)
+		got := ""
+		if _, err := Exec(db, sqlparser.MustParse(q.sql)); err != nil {
+			got = err.Error()
+		}
+		if got != q.err {
+			t.Errorf("%s: interpreter error %q, want %q", q.sql, got, q.err)
+		}
+	}
+}
+
 // TestVecProfileAndExplain checks the observability surfaces: EXPLAIN names
 // the vectorized operators and EXPLAIN ANALYZE reports batch counts.
 func TestVecProfileAndExplain(t *testing.T) {
@@ -480,8 +517,10 @@ func TestVecDenseKernels(t *testing.T) {
 
 // TestVecConcurrentExec runs shared plans from 16 goroutines over one DB:
 // the pooled selections, group ids, join pairs and range bitmaps of one Exec
-// must never leak into another's. Run under -race; every result must equal
-// the interpreter's.
+// must never leak into another's, nor one Exec's batch groups, which its
+// grouped plan's compiled HAVING (here with a correlated subquery) and
+// computed items read. Run under -race; every result must equal the
+// interpreter's.
 func TestVecConcurrentExec(t *testing.T) {
 	db := denseDB()
 	type shared struct {
@@ -500,6 +539,8 @@ func TestVecConcurrentExec(t *testing.T) {
 		{"SELECT d.y, e.lbl FROM d, e WHERE d.k = e.k AND d.y < 5", Prepare},
 		{"SELECT DISTINCT k FROM d WHERE y > 50", Prepare},
 		{"SELECT k, lbl FROM e WHERE k < (SELECT count(*) FROM d WHERE y BETWEEN 1 AND 3 AND x > 0)", Prepare},
+		{"SELECT k, count(*) * 2 + max(y) FROM d AS o WHERE y < 60 GROUP BY k " +
+			"HAVING count(*) > (SELECT count(*) FROM d AS i WHERE i.k = o.k AND i.y >= 60) / 2", Prepare},
 	} {
 		ast, err := sqlparser.Parse(q.sql)
 		if err != nil {
@@ -517,6 +558,9 @@ func TestVecConcurrentExec(t *testing.T) {
 	}
 	if plans[1].plan.root.vec == nil || !indexFed(plans[1].plan, 0) {
 		t.Fatalf("expected an index-fed vectorized scan:\n%s", plans[1].plan.Explain())
+	}
+	if last := plans[len(plans)-1]; last.plan.root.vec == nil || len(last.want.Rows) == 0 {
+		t.Fatalf("expected a batch grouped plan with rows: %d rows\n%s", len(last.want.Rows), last.plan.Explain())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -28,10 +28,11 @@ import (
 // scans. Row-id buffers come from pools (plan.go): selections stay with the
 // Exec, join pairs and group ids with one run, so nothing is allocated per
 // row. Errors cannot occur before output:
-// every pushed predicate is a proven-pure shape. Grouped output replays the
-// row path's per-group evaluation order — HAVING, then select items, then
-// order keys — so aggregate type errors surface for exactly the same group
-// in exactly the same order.
+// every pushed predicate is a proven-pure shape. Grouped output runs the row
+// path's per-group step (emitGroup) — the compiled HAVING, then select items,
+// then order keys — over an env whose frames bind the group's first row and
+// whose aggregates read the accumulated values, so aggregate type errors
+// surface for exactly the same group in exactly the same order.
 
 // runVec executes the vectorized plan into sink, returning the number of
 // rows offered (the row path's `offered` counter).
@@ -91,7 +92,7 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 	}
 
 	// 3. Output.
-	if !vp.grouped {
+	if !pq.grouped {
 		return pq.vecEmit(prof, sink, r0s, r1s, npairs), nil
 	}
 	return pq.vecEmitGrouped(outer, prof, sink, r0s, r1s, npairs)
@@ -659,8 +660,8 @@ type aggRun struct {
 }
 
 // vecEmitGrouped assigns group ids, accumulates every aggregate in scan
-// order, then replays the row path's per-group evaluation: HAVING, select
-// items, order keys — surfacing errors for the same group at the same point.
+// order, then runs the row path's per-group step (emitGroup) for each group
+// in first-seen order.
 func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink, r0s, r1s []int32, npairs int) (int, error) {
 	vp := pq.vec
 	var tg time.Time
@@ -668,9 +669,9 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		tg = time.Now()
 	}
 
-	aggs := make([]aggRun, len(vp.aggs))
-	for i := range vp.aggs {
-		a := &vp.aggs[i]
+	aggs := make([]aggRun, len(pq.aggs))
+	for i := range pq.aggs {
+		a := &pq.aggs[i]
 		ar := &aggs[i]
 		ar.kind = a.kind
 		ar.strErr = a.strErr
@@ -713,7 +714,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 	var keyCd *colData
 	keySrc1 := false
 	useU64 := false
-	if vp.hasGroupBy && len(vp.groupBy) == 1 {
+	if pq.hasGroupBy && len(vp.groupBy) == 1 {
 		gc := vp.groupBy[0]
 		keyCd = &vp.cols[gc.src].cols[gc.col]
 		keySrc1 = gc.src == 1
@@ -744,7 +745,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		// Sized for group cardinality, not row count: insertGrow doubles on
 		// demand, so a 2000-row/50-group input pays for ~64 slots, not 4096.
 		u64t = newU64Table(32)
-	} else if !useU64 && vp.hasGroupBy {
+	} else if !useU64 && pq.hasGroupBy {
 		gidx = make(map[string]int32, 64)
 	}
 
@@ -801,7 +802,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 				}
 				gid = *slot
 			}
-		case vp.hasGroupBy:
+		case pq.hasGroupBy:
 			kb = kb[:0]
 			for _, gc := range vp.groupBy {
 				kb = appendGroupKey(kb, vecCell(vp, gc, int(r0), int(r1)))
@@ -905,7 +906,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 			}
 		}
 	}
-	if !vp.hasGroupBy && len(sizes) == 0 {
+	if !pq.hasGroupBy && len(sizes) == 0 {
 		// Aggregates over empty input still yield one (empty) group.
 		newGroup(-1, -1)
 	}
@@ -915,53 +916,32 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		tg = time.Now()
 	}
 
-	gr := &groupRun{sizes: sizes, rep0: rep0, rep1: rep1, aggs: aggs}
+	// Per group, the row path's output step: the frames bind the group's
+	// first pair (none for an empty implicit group), and the compiled
+	// aggregates read vg. Nothing keeps an env past the call, so one serves
+	// every group.
+	vg := &vecGroup{sizes: sizes, aggs: aggs}
+	genv := &rowEnv{outer: outer, group: vg}
+	frames := make([]frame, vp.nsrc)
+	for i, ps := range pq.sources {
+		frames[i] = frame{alias: ps.alias, cols: ps.cols}
+	}
 	offered := 0
 	for g := range sizes {
-		if vp.gHaving != nil {
-			l, err := pq.gEval(&vp.gHaving.l, g, gr, outer)
-			if err != nil {
-				return 0, err
+		vg.g = g
+		genv.frames = nil
+		if sizes[g] > 0 {
+			frames[0].row = vp.tabs[0].Rows[rep0[g]]
+			if vp.nsrc == 2 {
+				frames[1].row = vp.tabs[1].Rows[rep1[g]]
 			}
-			if vp.gHaving.cmp {
-				r, err := pq.gEval(&vp.gHaving.r, g, gr, outer)
-				if err != nil {
-					return 0, err
-				}
-				var hv Value
-				if l.Null || r.Null {
-					hv = NullVal()
-				} else {
-					hv = BoolVal(cmpTest(vp.gHaving.op, Compare(l, r)))
-				}
-				if !hv.Truthy() {
-					continue
-				}
-			} else if !l.Truthy() {
-				continue
-			}
+			genv.frames = frames
 		}
-		row := make([]Value, len(vp.gItems))
-		for i := range vp.gItems {
-			v, err := pq.gEval(&vp.gItems[i], g, gr, outer)
-			if err != nil {
-				return 0, err
-			}
-			row[i] = v
+		ok, err := pq.emitGroup(genv, sink)
+		if err != nil {
+			return 0, err
 		}
-		var keys []Value
-		if len(vp.gOrder) > 0 {
-			keys = make([]Value, len(vp.gOrder))
-			for i := range vp.gOrder {
-				v, err := pq.gEval(&vp.gOrder[i], g, gr, outer)
-				if err != nil {
-					return 0, err
-				}
-				keys[i] = v
-			}
-		}
-		sink.add(row, keys)
-		offered++
+		offered += b2i(ok)
 	}
 	if prof != nil {
 		prof.addVec("project", "", "vectorized", len(sizes), offered, 0, time.Since(tg))
@@ -969,62 +949,41 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 	return offered, nil
 }
 
-// groupRun bundles the grouped accumulation state for gEval.
-type groupRun struct {
-	sizes      []int64
-	rep0, rep1 []int32
-	aggs       []aggRun
+// vecGroup is a grouped batch run's accumulated aggregates, positioned at
+// group g. A rowEnv that carries one is that group's env.
+type vecGroup struct {
+	g     int
+	sizes []int64
+	aggs  []aggRun
 }
 
-// gEval evaluates one grouped-context atom for group g, matching the row
-// path's per-group closures: bare columns read the group's first row; in an
-// empty implicit group the lookup falls through to the outer scope and then
-// errors with the interpreter's "unknown column"; aggregate type errors
-// surface only when (and if) the aggregate is actually evaluated.
-func (pq *planQuery) gEval(e *gExpr, g int, gr *groupRun, outer *rowEnv) (Value, error) {
-	vp := pq.vec
-	switch e.kind {
-	case gLit:
-		return e.lit, nil
-	case gCol:
-		if gr.sizes[g] == 0 {
-			if outer != nil {
-				if v, ok := outer.lookupLower(e.lower); ok {
-					return v, nil
-				}
-			}
-			return Value{}, e.errUnknown
+// value returns interned aggregate ai of the current group, as the row
+// path's closure would compute it: a sum or avg that saw a string errors
+// only when (and if) it is evaluated.
+func (vg *vecGroup) value(ai int) (Value, error) {
+	g, ar := vg.g, &vg.aggs[ai]
+	switch ar.kind {
+	case aggCountStar:
+		return NumVal(float64(vg.sizes[g])), nil
+	case aggCount:
+		return NumVal(float64(ar.counts[g])), nil
+	case aggSum:
+		if ar.isErr[g] {
+			return Value{}, ar.strErr
 		}
-		ri := int(gr.rep0[g])
-		if e.col.src == 1 {
-			ri = int(gr.rep1[g])
+		return NumVal(ar.sums[g]), nil
+	case aggAvg:
+		if ar.isErr[g] {
+			return Value{}, ar.strErr
 		}
-		return vp.cols[e.col.src].cols[e.col.col].value(ri), nil
-	default:
-		ar := &gr.aggs[e.agg]
-		switch ar.kind {
-		case aggCountStar:
-			return NumVal(float64(gr.sizes[g])), nil
-		case aggCount:
-			return NumVal(float64(ar.counts[g])), nil
-		case aggSum:
-			if ar.isErr[g] {
-				return Value{}, ar.strErr
-			}
-			return NumVal(ar.sums[g]), nil
-		case aggAvg:
-			if ar.isErr[g] {
-				return Value{}, ar.strErr
-			}
-			if ar.counts[g] == 0 {
-				return NullVal(), nil
-			}
-			return NumVal(ar.sums[g] / float64(ar.counts[g])), nil
-		default: // min / max
-			if !ar.have[g] {
-				return NullVal(), nil
-			}
-			return ar.bestV[g], nil
+		if ar.counts[g] == 0 {
+			return NullVal(), nil
 		}
+		return NumVal(ar.sums[g] / float64(ar.counts[g])), nil
+	default: // min / max
+		if !ar.have[g] {
+			return NullVal(), nil
+		}
+		return ar.bestV[g], nil
 	}
 }
