@@ -45,8 +45,7 @@ type rowEnv struct {
 	frames    []frame
 	outer     *rowEnv
 	groupRows []*rowEnv
-	x         *execScratch // compiled plans only: set on an Exec's root environment
-	group     *vecGroup    // compiled plans only: a batch group, whose aggregates are accumulated
+	plan      *planEnv // compiled plans only: see planEnv
 }
 
 func (e *rowEnv) lookup(name string) (Value, bool) {

@@ -105,7 +105,7 @@ func (p *Plan) Exec() (*Table, error) {
 		return nil, ErrStalePlan
 	}
 	env := newExecEnv()
-	defer env.x.release()
+	defer env.plan.release()
 	return p.root.run(env, nil)
 }
 
@@ -194,10 +194,19 @@ type sourceScratch struct {
 	hash    *hashSide // hash build side; nil until built
 }
 
+// planEnv is what a compiled plan attaches to a rowEnv: an Exec's root
+// environment carries the Exec's scratch, and a batch group's env the
+// group's accumulated aggregates. One field for both keeps rowEnv, which
+// the row path allocates per emitted row, at 64 bytes.
+type planEnv struct {
+	execScratch
+	group *vecGroup
+}
+
 // newExecEnv returns the root environment of one execution: it binds no
 // frames, so every lookup falls through it exactly as past a nil outer, and
 // it carries the Exec's scratch.
-func newExecEnv() *rowEnv { return &rowEnv{x: &execScratch{}} }
+func newExecEnv() *rowEnv { return &rowEnv{plan: &planEnv{}} }
 
 // scratch returns the execScratch of the execution e belongs to, held by
 // the root of its outer chain (newExecEnv).
@@ -205,7 +214,7 @@ func (e *rowEnv) scratch() *execScratch {
 	for e.outer != nil {
 		e = e.outer
 	}
-	return e.x
+	return &e.plan.execScratch
 }
 
 // query returns pq's scratch in x, creating it on first use.
@@ -1179,8 +1188,8 @@ func (c *compiler) compileAggregate(e *dt.Node) exprFn {
 		return fn
 	}
 	return func(env *rowEnv) (Value, error) {
-		if env.group != nil {
-			return env.group.value(ai)
+		if env.plan != nil && env.plan.group != nil {
+			return env.plan.group.value(ai)
 		}
 		return fn(env)
 	}

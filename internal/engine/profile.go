@@ -86,7 +86,7 @@ func (p *Plan) ExecProfiled() (*Table, *Profile, error) {
 	}
 	prof := &Profile{}
 	env := newExecEnv()
-	defer env.x.release()
+	defer env.plan.release()
 	t0 := time.Now()
 	t, err := p.root.run(env, prof)
 	prof.Total = time.Since(t0)

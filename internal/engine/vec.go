@@ -511,8 +511,13 @@ func (c *compiler) vecAggregate(e *dt.Node) (vecAgg, bool) {
 // internAgg adds aggregate e to its level's list when the batch path can
 // accumulate it — count(*), or count/sum/avg/min/max over a bare local
 // column — and returns its index; equal aggregates share one entry. Any
-// other aggregate returns -1 and sets the level's aggMiss.
+// other aggregate returns -1 and sets the level's aggMiss. A compiler
+// without a query level (a JOIN's ON condition, which only the row path
+// runs) interns nothing.
 func (c *compiler) internAgg(e *dt.Node) int {
+	if c.pq == nil {
+		return -1
+	}
 	a, ok := c.vecAggregate(e)
 	if !ok {
 		c.pq.aggMiss = true

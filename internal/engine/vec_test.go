@@ -311,25 +311,32 @@ func TestVecSmallTable(t *testing.T) {
 // batch path runs the plan's compiled HAVING, items and order keys.
 func TestVecGroupedClosures(t *testing.T) {
 	db := testDB()
-	for _, q := range []struct{ sql, err string }{
+	for _, q := range []struct {
+		sql, err string
+		rowPath  bool
+	}{
 		// The parser wraps every HAVING in an AND node.
-		{"SELECT dept, avg(salary) FROM emp GROUP BY dept HAVING avg(salary) > 90", ""},
-		{"SELECT dept, count(*) * 2 + max(salary) AS c FROM emp GROUP BY dept", ""},
-		{"SELECT dept, sum(salary) FROM emp GROUP BY dept ORDER BY sum(salary) / count(*) DESC", ""},
-		{"SELECT dept, sum(salary) FROM emp AS e GROUP BY dept HAVING sum(salary) >= (SELECT max(salary) FROM emp AS f WHERE f.dept = e.dept) + 100", ""},
+		{"SELECT dept, avg(salary) FROM emp GROUP BY dept HAVING avg(salary) > 90", "", false},
+		{"SELECT dept, count(*) * 2 + max(salary) AS c FROM emp GROUP BY dept", "", false},
+		{"SELECT dept, sum(salary) FROM emp GROUP BY dept ORDER BY sum(salary) / count(*) DESC", "", false},
+		{"SELECT dept, sum(salary) FROM emp AS e GROUP BY dept HAVING sum(salary) >= (SELECT max(salary) FROM emp AS f WHERE f.dept = e.dept) + 100", "", false},
 		// A sum over strings errors only when its conjunct is evaluated.
-		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 AND sum(dept) > 0", ""},
-		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING sum(dept) > 0 AND count(*) > 5", "engine: sum() over strings"},
-		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 1 OR sum(dept) > 0", ""},
-		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 OR avg(dept) > 0", "engine: avg() over strings"},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 AND sum(dept) > 0", "", false},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING sum(dept) > 0 AND count(*) > 5", "engine: sum() over strings", false},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 1 OR sum(dept) > 0", "", false},
+		{"SELECT dept, count(*) FROM emp GROUP BY dept HAVING count(*) > 5 OR avg(dept) > 0", "engine: avg() over strings", false},
 		// The empty implicit group: a bare column is unknown at the root,
 		// and found in the enclosing group's row from a subquery.
-		{"SELECT dept, count(*) FROM emp WHERE salary > 1000", `engine: unknown column "dept"`},
-		{"SELECT dept, count(*) FROM emp AS e GROUP BY dept HAVING (SELECT dept, count(*) FROM emp AS f WHERE f.salary > 1000) = 'eng'", ""},
-		{"SELECT name, city, count(*), sum(salary) FROM emp, dept WHERE emp.dept = dept.name GROUP BY name HAVING count(*) > 1 OR city = 'SF' ORDER BY city", ""},
-		{"SELECT DISTINCT count(*) FROM T GROUP BY p", ""},
+		{"SELECT dept, count(*) FROM emp WHERE salary > 1000", `engine: unknown column "dept"`, false},
+		{"SELECT dept, count(*) FROM emp AS e GROUP BY dept HAVING (SELECT dept, count(*) FROM emp AS f WHERE f.salary > 1000) = 'eng'", "", false},
+		{"SELECT name, city, count(*), sum(salary) FROM emp, dept WHERE emp.dept = dept.name GROUP BY name HAVING count(*) > 1 OR city = 'SF' ORDER BY city", "", false},
+		{"SELECT DISTINCT count(*) FROM T GROUP BY p", "", false},
+		// An aggregate in a JOIN's ON condition has no query level to
+		// intern into: it prepares, stays on the row path and fails there.
+		{"SELECT * FROM emp JOIN dept ON count(*) > 0", "engine: aggregate count() outside grouping context", true},
+		{"SELECT dept.name, count(*) FROM emp JOIN dept ON emp.dept = dept.name AND max(salary) > 0 GROUP BY dept.name", "engine: aggregate max() outside grouping context", true},
 	} {
-		vecPlanFor(t, db, q.sql, true)
+		vecPlanFor(t, db, q.sql, !q.rowPath)
 		checkExecEquivalence(t, db, q.sql)
 		got := ""
 		if _, err := Exec(db, sqlparser.MustParse(q.sql)); err != nil {

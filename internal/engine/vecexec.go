@@ -921,7 +921,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 	// aggregates read vg. Nothing keeps an env past the call, so one serves
 	// every group.
 	vg := &vecGroup{sizes: sizes, aggs: aggs}
-	genv := &rowEnv{outer: outer, group: vg}
+	genv := &rowEnv{outer: outer, plan: &planEnv{group: vg}}
 	frames := make([]frame, vp.nsrc)
 	for i, ps := range pq.sources {
 		frames[i] = frame{alias: ps.alias, cols: ps.cols}
@@ -950,7 +950,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 }
 
 // vecGroup is a grouped batch run's accumulated aggregates, positioned at
-// group g. A rowEnv that carries one is that group's env.
+// group g. A rowEnv whose planEnv carries one is that group's env.
 type vecGroup struct {
 	g     int
 	sizes []int64
