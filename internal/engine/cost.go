@@ -6,14 +6,17 @@ import (
 	dt "pi2/internal/difftree"
 )
 
-// The cost-based access-path chooser. compileFrom collects index *candidates*
-// from the pushed-down conjuncts; chooseAccess judges them against the
-// table's statistics and picks at most one per source.
+// The cost-based access-path chooser of the batch path. Its candidates are
+// the batch plan's own pushed predicates (vecPred, the one classification of
+// pushed conjuncts): `col op literal` with op in =,<,<=,>,>=, and `col
+// BETWEEN literal AND literal`. chooseAccess judges them against the table's
+// statistics and picks at most one per source. The row path never probes an
+// index for a scan (from.go).
 //
 // Two invariants keep this layer incapable of changing results:
 //
 //   - a chosen index only narrows the candidate row set fed to the scan's
-//     predicate loop — every pushed conjunct (including the one the index
+//     predicate kernels — every pushed conjunct (including the one the index
 //     serves) still evaluates over the candidates, so the index must merely
 //     produce a superset of the matching rows in ascending row order;
 //   - eligibility (accessEstimate) is a semantic judgment, not a cost one:
@@ -44,19 +47,14 @@ type scanAccess struct {
 	lo, hi         Value  // accessRange bounds
 	hasLo, hasHi   bool
 	loExcl, hiExcl bool
-	estRows        int // statistics estimate, for EXPLAIN
 }
 
-// path renders the access path the way EXPLAIN and Profile report it.
+// path renders a chosen index the way EXPLAIN and Profile report it.
 func (a scanAccess) path() string {
-	switch a.mode {
-	case accessEq:
+	if a.mode == accessEq {
 		return "index-scan(" + a.colName + ")"
-	case accessRange:
-		return "range-scan(" + a.colName + ")"
-	default:
-		return "full-scan"
 	}
+	return "range-scan(" + a.colName + ")"
 }
 
 // litValue evaluates a plan-time literal. NaN literals cannot be written in
@@ -75,83 +73,30 @@ func litValue(e *dt.Node) (Value, bool) {
 	return Value{}, false
 }
 
-// indexCandidate recognizes a pushed-down conjunct an index could serve:
-// `col op literal` (either operand order; op in =,<,>,<=,>=) or
-// `col BETWEEN literal AND literal`, where col is a bare reference to source
-// fi's base table. Derived tables never qualify — their rows are rebuilt per
-// execution, so there is nothing durable to index.
-func (c *compiler) indexCandidate(pq *planQuery, fi int, e *dt.Node) (scanAccess, bool) {
-	if pq.sources[fi].table == nil {
-		return scanAccess{}, false
+// access maps a pushed predicate an index could serve to its probe:
+// `col op literal` with op in =,<,<=,>,>= (vecConjunct already put the
+// column on the left) or `col BETWEEN literal AND literal`.
+func (p *vecPred) access() (scanAccess, bool) {
+	a := scanAccess{col: p.col}
+	switch {
+	case p.kind == predBetween:
+		a.mode, a.lo, a.hasLo, a.hi, a.hasHi = accessRange, p.lo, true, p.hi, true
+	case p.kind != predCmpLit:
+		return a, false
+	case p.op == vecEq:
+		a.mode, a.eqKey = accessEq, p.lit
+	case p.op == vecLt:
+		a.mode, a.hi, a.hasHi, a.hiExcl = accessRange, p.lit, true, true
+	case p.op == vecLe:
+		a.mode, a.hi, a.hasHi = accessRange, p.lit, true
+	case p.op == vecGt:
+		a.mode, a.lo, a.hasLo, a.loExcl = accessRange, p.lit, true, true
+	case p.op == vecGe:
+		a.mode, a.lo, a.hasLo = accessRange, p.lit, true
+	default:
+		return a, false
 	}
-	ident := func(n *dt.Node) (int, bool) {
-		if n.Kind != dt.KindIdent {
-			return 0, false
-		}
-		f, ci, ok := c.localColumn(n.Label)
-		if !ok || f != fi {
-			return 0, false
-		}
-		return ci, true
-	}
-	switch e.Kind {
-	case dt.KindBinary:
-		if len(e.Children) != 2 {
-			return scanAccess{}, false
-		}
-		op := e.Label
-		ci, okCol := ident(e.Children[0])
-		lit, okLit := litValue(e.Children[1])
-		if !okCol || !okLit {
-			ci, okCol = ident(e.Children[1])
-			lit, okLit = litValue(e.Children[0])
-			if !okCol || !okLit {
-				return scanAccess{}, false
-			}
-			// literal op col reads as col (flipped op) literal
-			switch op {
-			case "<":
-				op = ">"
-			case ">":
-				op = "<"
-			case "<=":
-				op = ">="
-			case ">=":
-				op = "<="
-			}
-		}
-		a := scanAccess{col: ci, colName: pq.sources[fi].cols[ci]}
-		switch op {
-		case "=":
-			a.mode, a.eqKey = accessEq, lit
-		case "<":
-			a.mode, a.hi, a.hasHi, a.hiExcl = accessRange, lit, true, true
-		case "<=":
-			a.mode, a.hi, a.hasHi = accessRange, lit, true
-		case ">":
-			a.mode, a.lo, a.hasLo, a.loExcl = accessRange, lit, true, true
-		case ">=":
-			a.mode, a.lo, a.hasLo = accessRange, lit, true
-		default:
-			return scanAccess{}, false
-		}
-		return a, true
-	case dt.KindBetween:
-		if len(e.Children) != 3 {
-			return scanAccess{}, false
-		}
-		ci, okCol := ident(e.Children[0])
-		lo, okLo := litValue(e.Children[1])
-		hi, okHi := litValue(e.Children[2])
-		if !okCol || !okLo || !okHi {
-			return scanAccess{}, false
-		}
-		return scanAccess{
-			mode: accessRange, col: ci, colName: pq.sources[fi].cols[ci],
-			lo: lo, hasLo: true, hi: hi, hasHi: true,
-		}, true
-	}
-	return scanAccess{}, false
+	return a, true
 }
 
 // accessEstimate judges a candidate against the table's statistics. eligible
@@ -238,16 +183,24 @@ func rangeEstimate(cs ColStats, nonNull int, a scanAccess) int {
 	return est
 }
 
-// chooseAccess picks at most one eligible candidate per source — the one
-// with the smallest estimate — and installs it when it beats a sweep by
-// indexAdvantage on a table of at least minIndexRows. Forced mode skips the
-// cost threshold but never the eligibility judgment.
-func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
-	for i, list := range cands {
-		if len(list) == 0 {
+// chooseAccess picks, for each source of the batch plan, at most one
+// eligible candidate among its pushed predicates — the one with the smallest
+// estimate, the first in conjunct order on a tie — and installs it when it
+// beats a sweep by indexAdvantage on a table of at least minIndexRows.
+// Forced mode skips the cost threshold but never the eligibility judgment.
+func (c *compiler) chooseAccess(pq *planQuery, vp *vecPlan) {
+	vp.access = make([]scanAccess, vp.nsrc)
+	for i, preds := range vp.scanPreds {
+		var cands []scanAccess
+		for k := range preds {
+			if a, ok := preds[k].access(); ok {
+				cands = append(cands, a)
+			}
+		}
+		if len(cands) == 0 {
 			continue
 		}
-		t := pq.sources[i].table
+		t := vp.tabs[i]
 		st := c.db.tableStats(t)
 		if !c.force && st.Rows < minIndexRows {
 			continue
@@ -256,8 +209,8 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 		// the index an equality candidate would probe.
 		ndv := func(col int) int { return c.db.hashIndexFor(t, col).size() }
 		best, bestEst := -1, 0
-		for k := range list {
-			est, ok := accessEstimate(st, list[k], ndv)
+		for k := range cands {
+			est, ok := accessEstimate(st, cands[k], ndv)
 			if !ok {
 				continue
 			}
@@ -265,15 +218,11 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 				best, bestEst = k, est
 			}
 		}
-		if best < 0 {
+		if best < 0 || (!c.force && bestEst*indexAdvantage > st.Rows) {
 			continue
 		}
-		if !c.force && bestEst*indexAdvantage > st.Rows {
-			continue
-		}
-		a := list[best]
-		a.estRows = bestEst
-		pq.levels[i].access = a
+		vp.access[i] = cands[best]
+		vp.access[i].colName = pq.sources[i].cols[cands[best].col]
 	}
 }
 
@@ -363,15 +312,4 @@ func fullWidth(t *Table) bool {
 		}
 	}
 	return true
-}
-
-// buildReusable reports whether level i's hash build can be served
-// by the DB's per-column hash index: a single bare-column key over an
-// unfiltered base table, where the index's buckets are bit-identical to what
-// buildHashSide would produce.
-func (pq *planQuery) buildReusable(i int) bool {
-	return pq.sources[i].sub == nil &&
-		pq.levels[i].buildCol >= 0 &&
-		len(pq.levels[i].scanPreds) == 0 &&
-		pq.levels[i].access.mode == accessFull
 }

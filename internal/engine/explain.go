@@ -6,8 +6,8 @@ import (
 )
 
 // Explain renders the compiled plan without executing anything: per-source
-// access paths with statistics estimates, join strategy and build sides,
-// predicate placement, and the output stages. This is the plan-only EXPLAIN
+// access paths, join strategy and build sides, predicate placement, and the
+// output stages. This is the plan-only EXPLAIN
 // surface behind pi2sql's `EXPLAIN <query>` and /sql?explain=plan;
 // EXPLAIN ANALYZE (ExecProfiled) reports what actually ran.
 func (p *Plan) Explain() string {
@@ -33,7 +33,7 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			if n := len(pq.vec.scanPreds[i]); n > 0 {
 				seed := ""
 				if pq.vecIndexed(i) {
-					seed = pq.levels[i].access.path() + " → "
+					seed = pq.vec.access[i].path() + " → "
 				}
 				fmt.Fprintf(sb, "%sscan %s [%svectorized-filter, %d pushed pred(s), batch %d]\n", ind, ps.alias, seed, n, batchSize)
 			} else {
@@ -41,15 +41,7 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 			}
 			continue
 		}
-		lv := &pq.levels[i]
-		fmt.Fprintf(sb, "%sscan %s [%s", ind, ps.alias, lv.access.path())
-		if lv.access.mode != accessFull {
-			fmt.Fprintf(sb, " ~%d of %d rows", lv.access.estRows, len(ps.table.Rows))
-		}
-		if n := len(lv.scanPreds); n > 0 {
-			fmt.Fprintf(sb, ", %d pushed pred(s)", n)
-		}
-		sb.WriteString("]\n")
+		fmt.Fprintf(sb, "%sscan %s [full-scan]\n", ind, ps.alias)
 	}
 	switch {
 	case pq.vec != nil:
@@ -75,13 +67,9 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 		if len(pq.residual) > 0 {
 			fmt.Fprintf(sb, "%sfilter: WHERE (monolithic, post-join)\n", ind)
 		}
-	case pq.decomposed:
+	case len(pq.sources) > 1:
 		for i := 1; i < len(pq.sources); i++ {
-			mode := pq.levelMode(i)
-			if n := len(pq.levels[i].filters); n > 0 {
-				mode += fmt.Sprintf(" +%d hoisted filter(s)", n)
-			}
-			fmt.Fprintf(sb, "%sjoin %s: %s\n", ind, pq.sources[i].alias, mode)
+			fmt.Fprintf(sb, "%sjoin %s: %s\n", ind, pq.sources[i].alias, pq.levelMode(i))
 		}
 		if len(pq.residual) > 0 {
 			fmt.Fprintf(sb, "%sresidual: %d conjunct(s), original order\n", ind, len(pq.residual))

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -17,30 +16,25 @@ import (
 // interpreter's nested-loop (crossFilter) and level-by-level (joinRows)
 // enumeration order.
 //
-// For a comma FROM the WHERE conjunction is decomposed at prepare time and
-// every conjunct is classified:
-//
-//   - single-source pure conjuncts are pushed down to that source's scan,
-//     filtering rows before any join work;
-//   - `a.x = b.y` conjuncts over two different sources become hash equi-join
-//     keys of the later source's level: that source is the build side and
-//     the bound prefix probes;
-//   - other pure multi-source conjuncts are hoisted to the earliest level
-//     that binds all of their sources;
-//   - everything else (subqueries, correlated references, arithmetic that
-//     can error, and every conjunct after the first possibly-erroring one)
-//     stays in the residual chain, evaluated in original conjunct order on
-//     fully joined rows.
+// For a comma FROM, when every WHERE conjunct is pure, each `a.x = b.y`
+// conjunct over two different sources becomes a hash equi-join key of the
+// later source's level: that source is the build side and the bound prefix
+// probes. Every other conjunct stays in the residual chain, evaluated in
+// original conjunct order on fully joined rows.
 //
 // "Pure" means the conjunct can be proven at prepare time never to return an
-// evaluation error. Hoisting is allowed only when *every* conjunct in the
-// WHERE is pure: under three-valued logic a NULL conjunct does not stop the
-// interpreter's AND evaluation, so dropping a row early (at a scan, hash
-// probe, or hoisted filter) skips the evaluation of every later conjunct on
-// that row — which is only unobservable when all of those evaluations are
-// provably error-free. When any conjunct may error, the whole conjunction
-// stays in the residual chain, evaluated in original order with Kleene
-// semantics (FALSE stops, NULL continues) exactly like the interpreter.
+// evaluation error. Keying is allowed only when *every* conjunct in the WHERE
+// is pure: under three-valued logic a NULL conjunct does not stop the
+// interpreter's AND evaluation, so dropping a row early at a hash probe skips
+// the evaluation of every later conjunct on that row — which is only
+// unobservable when all of those evaluations are provably error-free. When any
+// conjunct may error, the whole conjunction stays in the residual chain,
+// evaluated in original order with Kleene semantics (FALSE stops, NULL
+// continues) exactly like the interpreter.
+//
+// Every source is swept whole: pushing single-source conjuncts down to a
+// scan, and probing an index for them, is the batch path's job (vec.go,
+// cost.go), and the queries PI2's interfaces issue take that path.
 //
 // For a FROM with JOIN steps the WHERE stays monolithic, a one-entry
 // residual applied after the last level: pushing it below an outer join
@@ -58,18 +52,13 @@ import (
 //
 // Levels run one at a time because the interpreter evaluates every ON of
 // one level before any ON of the next, so errors surface in the same order.
-// Level 0's prefix list is its source's filtered row list itself. The last
+// Level 0's prefix list is its source's row list itself. The last
 // level applies the residual on a reused probe environment and materializes
 // only the rows that survive it, so a single-source sweep filters in place.
 
 // level is one FROM source's step in the row-path operator.
 type level struct {
 	typ string // "cross" or "inner" for comma entries; JOIN levels keep "inner", "left", "right" or "full"
-
-	// Comma FROMs only: the pushed-down predicates of this source's scan and
-	// the access path chosen for them (cost.go).
-	scanPreds []exprFn
-	access    scanAccess
 
 	// Hash equi-join keys: probe reads frames bound at earlier levels, build
 	// this level's frame alone.
@@ -81,11 +70,11 @@ type level struct {
 	// index reproduces bit-for-bit); -1 otherwise.
 	buildCol int
 
-	filters []exprFn // pure filters: hoisted WHERE conjuncts or the remaining ON conjuncts
+	filters []exprFn // pure filters: the ON conjuncts other than the hash keys
 	on      exprFn   // nested-loop ON: impure or non-equi JOIN levels
 }
 
-// hashSide is a built hash table over one source's filtered rows: bucket
+// hashSide is a built hash table over one source's rows: bucket
 // lists hold row indexes in scan order so probing emits matches in the same
 // order the nested loop would have visited them. A side built here keys its
 // buckets by the encoded join key (appendJoinKey) in built.idx. A build that
@@ -125,16 +114,6 @@ func (h *hashSide) match(keys []exprFn, env *rowEnv, kb *[]byte) ([]int, error) 
 	return nil, nil
 }
 
-// conjProps is the prepare-time classification of one WHERE conjunct.
-type conjProps struct {
-	pure   bool   // provably never returns an evaluation error
-	frames uint64 // bitmask of this query's own sources referenced
-}
-
-func (p conjProps) with(q conjProps) conjProps {
-	return conjProps{pure: p.pure && q.pure, frames: p.frames | q.frames}
-}
-
 // flattenAnd decomposes nested AND nodes into the ordered conjunct list.
 // AND evaluates children left to right with short-circuit, so flattening
 // preserves both value and error semantics.
@@ -148,15 +127,10 @@ func flattenAnd(e *dt.Node, out []*dt.Node) []*dt.Node {
 	return append(out, e)
 }
 
-// localFrame resolves an identifier against this query's own sources only,
+// localColumn resolves an identifier against this query's own sources only,
 // mirroring compileIdent's resolution order (first matching frame, first
-// matching column). ok is false for correlated and unknown names.
-func (c *compiler) localFrame(name string) (int, bool) {
-	fi, _, ok := c.localColumn(name)
-	return fi, ok
-}
-
-// localColumn is localFrame plus the resolved column index within the frame.
+// matching column), to its frame and column index. ok is false for
+// correlated and unknown names.
 func (c *compiler) localColumn(name string) (fi, ci int, ok bool) {
 	lower := strings.ToLower(name)
 	alias, col := "", lower
@@ -179,62 +153,51 @@ func (c *compiler) localColumn(name string) (fi, ci int, ok bool) {
 	return 0, 0, false
 }
 
-// conjunctProps classifies an expression: whether it is provably error-free
-// and which of this query's sources it reads. Anything not recognized as
-// pure — subqueries, correlated references, arithmetic (which errors on
-// strings), date(), unknown functions, aggregates — is conservatively
-// impure and stays residual. It runs after foldCalls, so a literal-only
-// date() that evaluates cleanly arrives here as a literal.
-func (c *compiler) conjunctProps(e *dt.Node) conjProps {
+// pure reports whether an expression is provably error-free. Anything not
+// recognized as pure — subqueries, correlated references, arithmetic (which
+// errors on strings), date(), unknown functions, aggregates — is
+// conservatively impure. It runs after foldCalls, so a literal-only date()
+// that evaluates cleanly arrives here as a literal.
+func (c *compiler) pure(e *dt.Node) bool {
 	switch e.Kind {
 	case dt.KindNumber:
 		_, err := strconv.ParseFloat(e.Label, 64)
-		return conjProps{pure: err == nil}
+		return err == nil
 	case dt.KindString:
-		return conjProps{pure: true}
+		return true
 	case dt.KindIdent:
-		if fi, ok := c.localFrame(e.Label); ok && fi < 64 {
-			return conjProps{pure: true, frames: 1 << uint(fi)}
-		}
-		return conjProps{}
-	case dt.KindAnd, dt.KindOr, dt.KindNot:
-		return c.allProps(e.Children)
+		_, _, ok := c.localColumn(e.Label)
+		return ok
+	case dt.KindAnd, dt.KindOr, dt.KindNot, dt.KindBetween:
+		return c.allPure(e.Children)
 	case dt.KindBinary:
 		switch e.Label {
 		case "=", "<>", "<", ">", "<=", ">=", "like":
-			return c.allProps(e.Children)
+			return c.allPure(e.Children)
 		}
 		// +,-,*,/ error on string operands; unknown operators always error.
-		return conjProps{}
-	case dt.KindBetween:
-		return c.allProps(e.Children)
+		return false
 	case dt.KindIn:
-		if len(e.Children) != 2 || e.Children[1].Kind == dt.KindQuery {
-			return conjProps{}
-		}
-		return c.conjunctProps(e.Children[0]).with(c.allProps(e.Children[1].Children))
+		return len(e.Children) == 2 && e.Children[1].Kind != dt.KindQuery &&
+			c.pure(e.Children[0]) && c.allPure(e.Children[1].Children)
 	case dt.KindFunc:
 		switch e.Label {
 		case "today":
-			return conjProps{pure: true} // ignores arguments, never errors
+			return true // ignores arguments, never errors
 		case "abs", "round", "lower", "upper":
-			if len(e.Children) == 0 {
-				return conjProps{} // arity error at eval time
-			}
-			return c.allProps(e.Children)
+			return len(e.Children) > 0 && c.allPure(e.Children) // no argument: arity error
 		}
-		return conjProps{}
-	default:
-		return conjProps{}
 	}
+	return false
 }
 
-func (c *compiler) allProps(nodes []*dt.Node) conjProps {
-	p := conjProps{pure: true}
+func (c *compiler) allPure(nodes []*dt.Node) bool {
 	for _, n := range nodes {
-		p = p.with(c.conjunctProps(n))
+		if !c.pure(n) {
+			return false
+		}
 	}
-	return p
+	return true
 }
 
 // equiSides recognizes an `a.x = b.y` conjunct over two different local
@@ -248,8 +211,8 @@ func (c *compiler) equiSides(e *dt.Node) (probe, build *dt.Node, buildFrame int,
 	if l.Kind != dt.KindIdent || r.Kind != dt.KindIdent {
 		return nil, nil, 0, false
 	}
-	fl, okl := c.localFrame(l.Label)
-	fr, okr := c.localFrame(r.Label)
+	fl, _, okl := c.localColumn(l.Label)
+	fr, _, okr := c.localColumn(r.Label)
 	if !okl || !okr || fl == fr {
 		return nil, nil, 0, false
 	}
@@ -303,7 +266,7 @@ func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Nod
 			lv := &pq.levels[i]
 			pc := &compiler{db: c.db, sc: &scope{sources: pq.sources[:i+1], outer: outer}, deps: c.deps}
 			lv.on = pc.compile(en.on)
-			if !pc.conjunctProps(en.on).pure {
+			if !pc.pure(en.on) {
 				continue
 			}
 			var rest []*dt.Node
@@ -323,168 +286,50 @@ func (c *compiler) compileFrom(pq *planQuery, entries []fromEntry, where *dt.Nod
 	}
 
 	conjs := flattenAnd(where, nil)
-	allPure := n <= 64
+	keyable := c.allPure(conjs)
 	for _, e := range conjs {
-		if !c.conjunctProps(e).pure {
-			allPure = false
-			break
+		if !keyable || !c.addKey(pq, e, -1) {
+			pq.residual = append(pq.residual, c.compile(e))
 		}
 	}
-	cands := make([][]scanAccess, n)
-	var all []exprFn // every conjunct not made a hash key, in order
-	for _, e := range conjs {
-		props := c.conjunctProps(e)
-		multi := bits.OnesCount64(props.frames) > 1
-		if allPure && multi && c.addKey(pq, e, -1) {
-			continue
-		}
-		fn := c.compile(e)
-		all = append(all, fn)
-		switch {
-		case !allPure || props.frames == 0:
-			// Constant pure conjuncts are legal to hoist but worthless —
-			// they keep their original slot in the residual chain instead.
-			pq.residual = append(pq.residual, fn)
-		case !multi:
-			fi := bits.TrailingZeros64(props.frames)
-			pq.levels[fi].scanPreds = append(pq.levels[fi].scanPreds, fn)
-			if cand, ok := c.indexCandidate(pq, fi, e); ok {
-				cands[fi] = append(cands[fi], cand)
-			}
-		default:
-			hi := 63 - bits.LeadingZeros64(props.frames)
-			pq.levels[hi].filters = append(pq.levels[hi].filters, fn)
-		}
-	}
-	c.chooseAccess(pq, cands)
-	if n == 1 && pq.levels[0].access.mode == accessFull {
-		// The chooser kept the sweep, so decomposition bought nothing: the
-		// whole conjunction (one source has no hash keys) filters the rows
-		// in place on the last level.
-		pq.levels[0].scanPreds = nil
-		pq.residual = all
-		return
-	}
-	pq.decomposed = true
 	for i := 1; i < n; i++ {
-		if lv := &pq.levels[i]; len(lv.build) > 0 || len(lv.filters) > 0 {
-			lv.typ = "inner"
+		if len(pq.levels[i].build) > 0 {
+			pq.levels[i].typ = "inner"
 		}
 	}
 }
 
-// scanRows returns source i's rows filtered by its pushed-down predicates.
-// Pushed predicates read only source i's row, so for a base table the result
-// does not depend on the outer row: it is computed once per Exec, in the
-// Exec's scratch, and reused when the query re-runs. Derived tables re-filter per run (their
-// rows change with the outer environment).
-func (r *fromRun) scanRows(i int, tbl *Table) ([][]Value, error) {
-	pq := r.pq
-	preds := pq.levels[i].scanPreds
-	if len(preds) == 0 {
-		return tbl.Rows, nil
-	}
-	if pq.sources[i].sub != nil {
-		// Derived tables never get an index (nothing durable to index), so
-		// the access path is always a full sweep here.
-		return filterRows(tbl.Rows, preds, i, r.cur, &r.probe)
-	}
-	ss := &r.scratch().src[i]
-	if ss.scanned {
-		return ss.rows, nil
-	}
-	rows := tbl.Rows
-	if pq.levels[i].access.mode != accessFull {
-		// An index only narrows the candidate row set — a superset of
-		// the matching rows, in ascending row order — and then *every*
-		// pushed predicate, including the one the index served,
-		// re-evaluates over the candidates, so an over-approximating
-		// index can never change results.
-		idxRows := pq.indexRows(i, tbl, r.probe.outer.scratch())
-		rows = make([][]Value, len(idxRows))
-		for k, ri := range idxRows {
-			rows[k] = tbl.Rows[ri]
-		}
-	}
-	rows, err := filterRows(rows, preds, i, r.cur, &r.probe)
-	if err != nil {
-		return nil, err
-	}
-	ss.rows, ss.scanned = rows, true
-	return rows, nil
-}
-
-// indexRows probes source i's chosen index and returns its candidate row
-// indexes, ascending, in a buffer x keeps until the Exec returns: an
-// equality probe's bucket is copied out of the shared hash index, and a range
-// probe's hits are put in row order (orderHits). Both paths read their
-// candidates here, and a vectorized scan then filters them in place.
-func (pq *planQuery) indexRows(i int, tbl *Table, x *execScratch) []int32 {
-	a := pq.levels[i].access
-	var out []int32
-	switch a.mode {
-	case accessEq:
-		bucket := pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
-		out = x.keep(len(bucket))
-		for k, r := range bucket {
-			out[k] = int32(r)
-		}
-	case accessRange:
-		si := pq.db.sortedIndexFor(tbl, a.col)
-		hits := si.rangeHits(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
-		out = orderHits(si.nrows, hits, x.keep(len(hits)))
-	}
-	pq.db.idxHits.Add(1)
-	return out
-}
-
-func filterRows(rows [][]Value, preds []exprFn, i int, cur []frame, probe *rowEnv) ([][]Value, error) {
-	var out [][]Value
-	for _, row := range rows {
-		cur[i].row = row
-		keep := true
-		for _, pf := range preds {
-			v, err := pf(probe)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// levelHash builds the hash table over level i's filtered rows, keyed by its
-// build expressions. For base-table sources it is built once per Exec, in
-// the Exec's scratch, and a single bare-column key over the unfiltered table borrows the DB's
-// column index instead (buildReusable).
+// levelHash builds the hash table over level i's rows, keyed by its build
+// expressions. For base-table sources it is built once per Exec, in the
+// Exec's scratch, and a single bare-column key borrows the DB's column index
+// instead (buildReusable).
 func (r *fromRun) levelHash(i int, rows [][]Value) (*hashSide, error) {
 	pq, lv := r.pq, &r.pq.levels[i]
 	if pq.sources[i].sub != nil {
 		return buildHashSide(rows, lv.build, i, r.cur, &r.probe)
 	}
-	ss := &r.scratch().src[i]
-	if ss.hash != nil {
-		return ss.hash, nil
-	}
-	var h *hashSide
-	if pq.buildReusable(i) {
-		h = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, lv.buildCol)}
-		pq.db.idxHits.Add(1)
-	} else {
-		var err error
-		if h, err = buildHashSide(rows, lv.build, i, r.cur, &r.probe); err != nil {
-			return nil, err
+	hs := r.probe.outer.scratch().query(pq).hash
+	if hs[i] == nil {
+		if pq.buildReusable(i) {
+			hs[i] = &hashSide{col: pq.db.hashIndexFor(pq.sources[i].table, lv.buildCol)}
+			pq.db.idxHits.Add(1)
+		} else {
+			h, err := buildHashSide(rows, lv.build, i, r.cur, &r.probe)
+			if err != nil {
+				return nil, err
+			}
+			hs[i] = h
 		}
 	}
-	ss.hash = h
-	return h, nil
+	return hs[i], nil
+}
+
+// buildReusable reports whether level i's hash build can be served by the
+// DB's per-column hash index: a single bare-column key over a base table,
+// where the index's buckets are bit-identical to what buildHashSide would
+// produce over the whole table.
+func (pq *planQuery) buildReusable(i int) bool {
+	return pq.sources[i].sub == nil && pq.levels[i].buildCol >= 0
 }
 
 // buildHashSide hashes rows by keys evaluated with the row bound at frame i.
@@ -552,7 +397,6 @@ func residualPass(residual []exprFn, probe *rowEnv) (bool, error) {
 // i runs.
 type fromRun struct {
 	pq    *planQuery
-	qs    *queryScratch // the query's part of the Exec's scratch; nil until first used
 	cur   []frame
 	probe rowEnv
 	prof  *Profile
@@ -564,14 +408,6 @@ type fromRun struct {
 	joined   int           // rows reaching the residual
 	residErr error         // first residual error, held while the level's ON may still error
 	residDur time.Duration // residual evaluation time, when profiling
-}
-
-// scratch returns the query's part of the Exec's scratch.
-func (r *fromRun) scratch() *queryScratch {
-	if r.qs == nil {
-		r.qs = r.probe.outer.scratch().query(r.pq)
-	}
-	return r.qs
 }
 
 // runFrom enumerates the query's FROM/WHERE and returns the surviving row
@@ -592,10 +428,7 @@ func (pq *planQuery) runFrom(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 		r.cur[i] = frame{alias: ps.alias, cols: ps.cols}
 	}
 	r.probe = rowEnv{frames: r.cur[:1], outer: outer}
-	prefix, err := r.scan(0, tables[0])
-	if err != nil {
-		return nil, err
-	}
+	prefix := r.scan(0, tables[0])
 	if n == 1 {
 		r.last = true
 		for _, row := range prefix {
@@ -615,35 +448,21 @@ func (pq *planQuery) runFrom(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 	}
 	if prof != nil {
 		switch {
-		case pq.hasJoin:
-			if len(pq.residual) > 0 {
-				prof.add("filter", "where", r.joined, len(r.out), r.residDur)
-			}
-		case pq.decomposed:
-			if len(pq.residual) > 0 {
-				prof.add("residual", "", r.joined, len(r.out), r.residDur)
-			}
-		default:
+		case !pq.hasJoin:
 			prof.add("cross-filter", "", r.joined, len(r.out), r.residDur)
+		case len(pq.residual) > 0:
+			prof.add("filter", "where", r.joined, len(r.out), r.residDur)
 		}
 	}
 	return r.out, nil
 }
 
-// scan returns level i's filtered source rows, reporting the scan.
-func (r *fromRun) scan(i int, tbl *Table) ([][]Value, error) {
-	var t0 time.Time
+// scan returns source i's rows, reporting the sweep.
+func (r *fromRun) scan(i int, tbl *Table) [][]Value {
 	if r.prof != nil {
-		t0 = time.Now()
+		r.prof.addPath("scan", r.pq.sources[i].alias, "full-scan", len(tbl.Rows), len(tbl.Rows), 0)
 	}
-	rows, err := r.scanRows(i, tbl)
-	if err != nil {
-		return nil, err
-	}
-	if r.prof != nil {
-		r.prof.addPath("scan", r.pq.sources[i].alias, r.pq.levels[i].access.path(), len(tbl.Rows), len(rows), time.Since(t0))
-	}
-	return rows, nil
+	return tbl.Rows
 }
 
 // level runs level i >= 1 over the prefix list (i rows per prefix).
@@ -651,12 +470,10 @@ func (r *fromRun) level(i int, prefix [][]Value, tbl *Table) error {
 	pq, lv, prof := r.pq, &r.pq.levels[i], r.prof
 	alias := pq.sources[i].alias
 	r.probe.frames = r.cur[:i+1]
-	rows, err := r.scan(i, tbl)
-	if err != nil {
-		return err
-	}
+	rows := r.scan(i, tbl)
 	var t0 time.Time
 	var h *hashSide
+	var err error
 	if len(lv.build) > 0 {
 		if prof != nil {
 			t0 = time.Now()

@@ -289,7 +289,7 @@ func genQuery(r *rand.Rand) string {
 		fromSQL += fmt.Sprintf(" %s %s ON %s", flavors[r.Intn(len(flavors))], srcPart(i), joinOn(i))
 	}
 
-	// WHERE conjuncts, mixing pushable, equi-join, hoistable and residual
+	// WHERE conjuncts, mixing pushable, equi-join, cross-source and residual
 	// shapes (arithmetic, subqueries) in random order.
 	var conjs []string
 	for i, n := 0, r.Intn(4); i < n; i++ {
@@ -325,7 +325,7 @@ func genQuery(r *rand.Rand) string {
 			if c, ok := numCol(src()); ok {
 				conjs = append(conjs, fmt.Sprintf("%s + %d > %d", c, r.Intn(10), r.Intn(100)))
 			}
-		case 6: // non-equi cross-source comparison (hoistable step filter)
+		case 6: // non-equi cross-source comparison (batch cross predicate)
 			if nSrc >= 2 {
 				a, b := srcs[0], srcs[nSrc-1]
 				conjs = append(conjs, fmt.Sprintf("%s <= %s", anyCol(a), anyCol(b)))

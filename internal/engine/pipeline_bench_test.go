@@ -63,9 +63,10 @@ const benchJoinSQL = `SELECT f.v, d.label FROM fact AS f, dim AS d WHERE f.k = d
 // BenchmarkEngineJoin times the join shapes: hash is the comma join the
 // vectorized path takes; row-pipeline adds a lower() conjunct that keeps the
 // same join on the row path; row-reversed puts the smaller side first, so
-// its hash level builds over the later, larger source, whose scan predicate
-// keeps the build off the column index; join-on and left-join-on are JOIN
-// FROMs, which always run on the row path.
+// its hash level builds over the later, larger source, whose bare-column key
+// borrows that column's hash index (the row path pushes no scan predicate
+// down); join-on and left-join-on are JOIN FROMs, which always run on the
+// row path.
 func BenchmarkEngineJoin(b *testing.B) {
 	db := benchDB(2000, 200)
 	b.Run("hash", func(b *testing.B) { benchPlan(b, db, benchJoinSQL) })
@@ -232,8 +233,9 @@ func BenchmarkEngineRangeOrder(b *testing.B) {
 
 // BenchmarkEngineJoinBuildSide measures a join whose big side carries a
 // scan predicate, which defeats index reuse. The query is vectorizable, so
-// it runs the vectorized join over the filtered build side; a filtered
-// build on the row path is timed by BenchmarkEngineJoin/row-reversed.
+// it runs the vectorized join over the filtered build side. The row path
+// never filters a build side: its hash levels build over whole sources
+// (BenchmarkEngineJoin/row-reversed).
 func BenchmarkEngineJoinBuildSide(b *testing.B) {
 	db := benchScanDB()
 	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`)

@@ -24,10 +24,9 @@ import (
 // unrelated tables leave the plan valid. Plans whose query referenced an
 // unknown name additionally depend on the table-set fingerprint, so
 // registering the missing table invalidates the memoized error. A Plan is
-// immutable after Prepare: every Exec keeps its run-time state (filtered
-// scans, selections, build sides) in a scratch of its own, so Plans are
-// safe for concurrent Exec calls and hold no memory between them; table
-// snapshots are immutable.
+// immutable after Prepare: every Exec keeps its run-time state (selections,
+// build sides) in a scratch of its own, so Plans are safe for concurrent Exec
+// calls and hold no memory between them; table snapshots are immutable.
 type Plan struct {
 	db   *DB
 	root *planQuery
@@ -65,10 +64,11 @@ func (d *depTracker) add(ctr *atomic.Uint64, gen uint64) {
 var ErrStalePlan = errors.New("engine: plan is stale (database mutated since Prepare)")
 
 // Prepare compiles a concrete query AST (no choice nodes) into a Plan. The
-// plan executes through one FROM operator (pushed-down scan predicates and
-// hash equi-joins, see from.go), type-tagged grouping keys and a bounded
-// top-K heap for ORDER BY + LIMIT (see sink.go and ARCHITECTURE.md), or
-// through the columnar batch path when the query fits it (vec.go).
+// plan executes through the columnar batch path when the query fits it
+// (pushed-down scan predicates, index access and hash joins, see vec.go), or
+// else through one row-at-a-time FROM operator (hash equi-joins, see
+// from.go), type-tagged grouping keys and a bounded top-K heap for ORDER BY +
+// LIMIT (see sink.go and ARCHITECTURE.md).
 func Prepare(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, false)
 }
@@ -111,9 +111,9 @@ func (p *Plan) Exec() (*Table, error) {
 
 // execScratch is one Exec's run-time state. Each compiled query level keeps
 // the work over its base tables that does not depend on the outer row (its
-// filtered scans, hash build sides and vectorized selections) here, computed
-// on first use, so a subquery that re-runs once per outer row does that work
-// once per Exec. The scratch is dropped when Exec returns, and the pooled
+// hash build sides and vectorized selections) here, computed on first use,
+// so a subquery that re-runs once per outer row does that work once per
+// Exec. The scratch is dropped when Exec returns, and the pooled
 // buffers it kept go back to their pool then.
 type execScratch struct {
 	qs   map[*planQuery]*queryScratch
@@ -122,7 +122,7 @@ type execScratch struct {
 
 // queryScratch is one query level's part of an execScratch.
 type queryScratch struct {
-	src []sourceScratch // row path, per source
+	hash []*hashSide // row path: each base-table level's hash build side, nil until built
 
 	// sel holds the vectorized path's selection per source (nil = all rows),
 	// valid once selDone. Each one is a pooled buffer the Exec keeps: it is
@@ -187,13 +187,6 @@ func (x *execScratch) release() {
 	x.kept = nil
 }
 
-// sourceScratch is one base-table source's row-path work in one Exec.
-type sourceScratch struct {
-	rows    [][]Value // filtered scan rows, valid once scanned
-	scanned bool
-	hash    *hashSide // hash build side; nil until built
-}
-
 // planEnv is what a compiled plan attaches to a rowEnv: an Exec's root
 // environment carries the Exec's scratch, and a batch group's env the
 // group's accumulated aggregates. One field for both keeps rowEnv, which
@@ -224,7 +217,7 @@ func (x *execScratch) query(pq *planQuery) *queryScratch {
 		if x.qs == nil {
 			x.qs = map[*planQuery]*queryScratch{}
 		}
-		qs = &queryScratch{src: make([]sourceScratch, len(pq.sources))}
+		qs = &queryScratch{hash: make([]*hashSide, len(pq.sources))}
 		x.qs[pq] = qs
 	}
 	return qs
@@ -271,7 +264,7 @@ type planQuery struct {
 	err error // deferred compile error (unknown table, bad table ref)
 
 	// db backs the run-time access-path machinery: index lookups in
-	// scanRows and hash-build reuse in levelHash.
+	// indexRows and hash-build reuse in levelHash.
 	db *DB
 
 	sources []*planSource
@@ -286,13 +279,12 @@ type planQuery struct {
 	sel     []*dt.Node // the select items' AST, for derived-column origins (cost.go)
 
 	// levels holds one FROM-operator level per source (from.go); residual
-	// is the WHERE left for the last level: the Kleene tail of a comma FROM's
-	// decomposed conjunction, the whole conjunction when nothing was pushed
-	// down (decomposed false), or a JOIN FROM's monolithic post-join WHERE.
-	levels     []level
-	residual   []exprFn
-	hasJoin    bool
-	decomposed bool
+	// is the WHERE left for the last level: a comma FROM's conjuncts other
+	// than its hash keys, in order, or a JOIN FROM's monolithic post-join
+	// WHERE.
+	levels   []level
+	residual []exprFn
+	hasJoin  bool
 
 	grouped    bool
 	hasGroupBy bool
@@ -353,7 +345,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 			return pq
 		}
 		// ON and WHERE compile with their literal-only calls folded, so the
-		// pushdown, index and columnar classifiers see literals.
+		// hash-key and columnar classifiers see literals.
 		for i := range entries {
 			if entries[i].on != nil {
 				entries[i].on = c.foldCalls(entries[i].on)

@@ -7,6 +7,8 @@ package engine_test
 // plans while the interpreter remains the executable specification.
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,6 +85,51 @@ func TestCuratedOuterLevelsBatched(t *testing.T) {
 			if batched != want {
 				t.Errorf("%s[%d]: batched = %v, want %v\n%s\n%s", log.Name, qi, batched, want, sql, ex)
 			}
+		}
+	}
+}
+
+// curatedExplain renders Plan.Explain for every curated query, each under a
+// header naming its log, index and SQL.
+func curatedExplain(t *testing.T) string {
+	t.Helper()
+	db := dataset.NewDB()
+	var sb strings.Builder
+	for _, log := range workload.All() {
+		for qi, sql := range log.Queries {
+			plan, err := engine.Prepare(db, sqlparser.MustParse(sql))
+			if err != nil {
+				t.Fatalf("%s[%d]: prepare: %v", log.Name, qi, err)
+			}
+			fmt.Fprintf(&sb, "== %s[%d]: %s\n%s", log.Name, qi, sql, plan.Explain())
+		}
+	}
+	return sb.String()
+}
+
+// TestCuratedExplainGolden pins the plan chosen for every curated query —
+// access paths, join strategy, predicate placement and which levels run
+// batched — to testdata/curated_explain.golden byte for byte.
+func TestCuratedExplainGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/curated_explain.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := curatedExplain(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("EXPLAIN differs from the golden at line %d:\n  got  %q\n  want %q", i+1, g, w)
 		}
 	}
 }

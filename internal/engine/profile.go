@@ -22,7 +22,7 @@ type Profile struct {
 
 // OpStat describes one executed operator.
 type OpStat struct {
-	Op      string // "scan", "hash-build", "join", "residual", "group", "project", "top-k", ...
+	Op      string // "scan", "hash-build", "join", "cross-filter", "filter", "group", "project", "top-k", ...
 	Detail  string // operator-specific: source alias, join mode, limit
 	Path    string // access path / execution mode: "full-scan", "index-scan(col)", "vectorized", "vectorized-filter", ...
 	RowsIn  int

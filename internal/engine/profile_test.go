@@ -171,16 +171,17 @@ func TestProfileCrossFilterNoWhere(t *testing.T) {
 }
 
 func TestProfileResidual(t *testing.T) {
-	// salary/10 can error on strings, so it stays residual.
+	// salary/10 can error on strings, so the whole WHERE stays residual and
+	// filters the cross product.
 	prof := profiled(t, testDB(),
 		"SELECT emp.id FROM emp, dept WHERE emp.dept = dept.name AND emp.salary / 10 > 9")
 	ops := opsByName(prof)
-	rs, ok := ops["residual"]
+	rs, ok := ops["cross-filter"]
 	if !ok {
-		t.Fatalf("no residual op in %+v", prof.Ops)
+		t.Fatalf("no cross-filter op in %+v", prof.Ops)
 	}
 	if rs.RowsOut >= rs.RowsIn {
-		t.Fatalf("residual should filter rows: %+v", rs)
+		t.Fatalf("cross-filter should filter rows: %+v", rs)
 	}
 }
 
@@ -243,20 +244,25 @@ func joinChain(t *testing.T, prof *Profile, levels int) []OpStat {
 
 func TestProfileCommaLevels(t *testing.T) {
 	// Three comma sources: the equi conjunct keys dept's level, and the
-	// pure emp/T comparison is hoisted to T's level, the one binding both.
+	// pure emp/T comparison stays in the residual chain after T's level.
 	db := testDB()
 	sql := "SELECT emp.id, dept.city, T.p FROM emp, dept, T WHERE emp.dept = dept.name AND T.a >= emp.id"
-	if s := planFor(t, db, sql, Prepare).Explain(); !strings.Contains(s, "join t: nested-loop +1 hoisted filter(s)") {
-		t.Fatalf("filter not hoisted to level 2:\n%s", s)
+	s := planFor(t, db, sql, Prepare).Explain()
+	if !strings.Contains(s, "join t: nested-loop\n") || !strings.Contains(s, "residual: 1 conjunct(s)") {
+		t.Fatalf("want a nested-loop level for t and a one-conjunct residual:\n%s", s)
 	}
-	joins := joinChain(t, profiled(t, db, sql), 3)
-	if joins[0].Detail != "inner dept (hash)" || joins[1].Detail != "inner t (loop)" {
+	prof := profiled(t, db, sql)
+	joins := joinChain(t, prof, 3)
+	if joins[0].Detail != "inner dept (hash)" || joins[1].Detail != "cross t (loop)" {
 		t.Fatalf("join details = %q, %q", joins[0].Detail, joins[1].Detail)
 	}
-	// Every emp row finds its dept; T.a >= emp.id then keeps all five T rows
-	// for id 1 and the two with a = 2 for id 2.
-	if joins[0].RowsOut != 4 || joins[1].RowsOut != 7 {
-		t.Fatalf("level outputs %d, %d; want 4, 7", joins[0].RowsOut, joins[1].RowsOut)
+	// Every emp row finds its dept and meets all five T rows; T.a >= emp.id
+	// then keeps all five for id 1 and the two with a = 2 for id 2.
+	if joins[0].RowsOut != 4 || joins[1].RowsOut != 20 {
+		t.Fatalf("level outputs %d, %d; want 4, 20", joins[0].RowsOut, joins[1].RowsOut)
+	}
+	if cf, ok := opsByName(prof)["cross-filter"]; !ok || cf.RowsIn != 20 || cf.RowsOut != 7 {
+		t.Fatalf("cross-filter = %+v (ok=%v), want 20 -> 7", cf, ok)
 	}
 }
 

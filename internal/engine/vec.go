@@ -29,19 +29,22 @@ import (
 //     items, HAVING and ORDER BY keys may be any expression, subqueries
 //     included: they run as the plan's compiled closures, once per group.
 //
-// Everything else keeps the row path. An index the cost chooser picked
-// for a source does not disqualify the query: its candidate rows seed that
-// source's selection in place of the whole table, and every pushed
-// predicate, the served one included, re-checks them — the same "an index
-// only narrows" invariant the row path's scans keep (cost.go).
+// Everything else keeps the row path. The WHERE conjuncts vecConjunct
+// pushes down to a source (vecPred) are the engine's one classification of
+// pushed predicates: the cost chooser (cost.go) takes its index candidates
+// from them once the plan is known to be eligible. A chosen index's
+// candidate rows seed that source's selection in place of the whole table,
+// and every pushed predicate, the served one included, re-checks them, so an
+// index only narrows a scan, never changes its result.
 //
-// Because every recognized conjunct is provably pure (no evaluation errors)
-// the pushdown/hoisting soundness argument from from.go applies
-// wholesale, and the runtime (vecexec.go) re-materializes batch output in
-// the interpreter's nested-loop scan order, so the vectorized path is
-// bit-identical to the other paths — including error text: a grouped plan
-// runs the row path's own per-group step (planQuery.emitGroup), HAVING →
-// select items → order keys, over the batch-accumulated aggregates.
+// Because every recognized conjunct is provably pure (no evaluation errors),
+// pushing it below the join and dropping rows early is unobservable — the
+// soundness argument from.go makes for hash keys — and the runtime
+// (vecexec.go) re-materializes batch output in the interpreter's nested-loop
+// scan order, so the vectorized path is bit-identical to the other paths —
+// including error text: a grouped plan runs the row path's own per-group
+// step (planQuery.emitGroup), HAVING → select items → order keys, over the
+// batch-accumulated aggregates.
 
 // vecCol identifies one column of one FROM source.
 type vecCol struct{ src, col int }
@@ -213,6 +216,7 @@ type vecPlan struct {
 	tabs      []*Table
 	cols      []*tableCols
 	scanPreds [][]vecPred
+	access    []scanAccess // per source: the index chooseAccess picked, or accessFull
 
 	// two-source join
 	hasKey bool
@@ -231,11 +235,10 @@ type vecPlan struct {
 	groupBy []vecCol
 }
 
-// compileVec attaches a vectorized plan to pq when the query is eligible.
-// Must run after the FROM compilation (an index the chooser picked
-// there seeds the source's selection, see runVec) and after the select
-// items, HAVING and ORDER BY keys compiled, interning their aggregates.
-// c must be the inner (scoped) compiler.
+// compileVec attaches a vectorized plan to pq when the query is eligible,
+// with the access path chosen for each source (chooseAccess). Must run after
+// the select items, HAVING and ORDER BY keys compiled, interning their
+// aggregates. c must be the inner (scoped) compiler.
 func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, orderby *dt.Node) {
 	if pq.err != nil || pq.hasJoin || pq.hasStar {
 		return
@@ -342,6 +345,7 @@ func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, orderby *dt.No
 		vp.distinct = pq.distinct
 	}
 
+	c.chooseAccess(pq, vp)
 	pq.vec = vp
 }
 

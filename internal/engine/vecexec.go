@@ -25,14 +25,14 @@ import (
 // Selections and the filtered build hash are pure functions of immutable
 // base tables, so a query re-run within one Exec (a subquery evaluated per
 // outer row) computes them once, in the Exec's scratch, like the row path's
-// scans. Row-id buffers come from pools (plan.go): selections stay with the
-// Exec, join pairs and group ids with one run, so nothing is allocated per
-// row. Errors cannot occur before output:
-// every pushed predicate is a proven-pure shape. Grouped output runs the row
-// path's per-group step (emitGroup) — the compiled HAVING, then select items,
-// then order keys — over an env whose frames bind the group's first row and
-// whose aggregates read the accumulated values, so aggregate type errors
-// surface for exactly the same group in exactly the same order.
+// hash builds. Row-id buffers come from pools (plan.go): selections stay
+// with the Exec, join pairs and group ids with one run, so nothing is
+// allocated per row. Errors cannot occur before output: every pushed
+// predicate is a proven-pure shape. Grouped output runs the row path's
+// per-group step (emitGroup) — the compiled HAVING, then select items, then
+// order keys — over an env whose frames bind the group's first row and whose
+// aggregates read the accumulated values, so aggregate type errors surface
+// for exactly the same group in exactly the same order.
 
 // runVec executes the vectorized plan into sink, returning the number of
 // rows offered (the row path's `offered` counter).
@@ -65,9 +65,9 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 				out = len(qs.sel[i])
 				path = "vectorized-filter"
 				if pq.vecIndexed(i) {
-					// The index names the access path, as on the row path;
-					// the batch count says the columnar filter ran.
-					path = pq.levels[i].access.path()
+					// The index names the access path; the batch count
+					// says the columnar filter ran.
+					path = vp.access[i].path()
 				}
 			}
 			prof.addVec("scan", pq.sources[i].alias, path, in, out, selBatches[i], selDur[i])
@@ -102,14 +102,14 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 // pushed predicate, in a buffer x keeps until the Exec returns. The buffer
 // first holds the candidate row ids — the identity sequence, or the
 // candidates of the index the chooser picked (ascending, a superset of the
-// matches, copied out of the index by indexRows) — and each batchSize chunk
-// of it is compacted in place by every predicate, then moved down behind the
-// survivors of the batches before it. Every pushed predicate, the one the
-// index served included, re-checks the candidates, so the index can only
-// narrow the scan, never change its result. On the identity sequence the
-// first dense predicate (filterDense) reads its column's cells in row order
-// and writes the surviving ids itself, so the batch is never filled.
-// It also returns the number of batches run.
+// matches, read by indexRows) — and each batchSize chunk of it is compacted
+// in place by every predicate, then moved down behind the survivors of the
+// batches before it. Every pushed predicate, the one the index served
+// included, re-checks the candidates, so the index can only narrow the scan,
+// never change its result. On the identity sequence the first dense
+// predicate (filterDense) reads its column's cells in row order and writes
+// the surviving ids itself, so the batch is never filled. It also returns
+// the number of batches run.
 func (pq *planQuery) vecSelect(i int, x *execScratch) ([]int32, int) {
 	tc, preds := pq.vec.cols[i], pq.vec.scanPreds[i]
 	identity := !pq.vecIndexed(i)
@@ -124,7 +124,7 @@ func (pq *planQuery) vecSelect(i int, x *execScratch) ([]int32, int) {
 			}
 		}
 	} else {
-		out = pq.indexRows(i, pq.vec.tabs[i], x)
+		out = pq.indexRows(i, x)
 	}
 	n, kept, batches := len(out), 0, 0
 	for base := 0; base < n; base += batchSize {
@@ -156,7 +156,29 @@ func (pq *planQuery) vecSelect(i int, x *execScratch) ([]int32, int) {
 // vecIndexed reports whether source i's selection is seeded from the index
 // the cost chooser picked for it.
 func (pq *planQuery) vecIndexed(i int) bool {
-	return pq.levels[i].access.mode != accessFull
+	return pq.vec.access[i].mode != accessFull
+}
+
+// indexRows probes source i's chosen index and returns its candidate row
+// indexes, ascending, in a buffer x keeps until the Exec returns: an
+// equality probe's bucket is copied out of the shared hash index, and a range
+// probe's hits are put in row order (orderHits).
+func (pq *planQuery) indexRows(i int, x *execScratch) []int32 {
+	a, tbl := pq.vec.access[i], pq.vec.tabs[i]
+	var out []int32
+	if a.mode == accessEq {
+		bucket := pq.db.hashIndexFor(tbl, a.col).rowsFor(a.eqKey)
+		out = x.keep(len(bucket))
+		for k, r := range bucket {
+			out[k] = int32(r)
+		}
+	} else {
+		si := pq.db.sortedIndexFor(tbl, a.col)
+		hits := si.rangeHits(a.lo, a.hasLo, a.loExcl, a.hi, a.hasHi, a.hiExcl)
+		out = orderHits(si.nrows, hits, x.keep(len(hits)))
+	}
+	pq.db.idxHits.Add(1)
+	return out
 }
 
 // filterSel keeps the rows of sel that satisfy the predicate, compacting in
@@ -645,12 +667,8 @@ func (pq *planQuery) vecDedup(r0s, r1s []int32, npairs int) ([]int32, []int32, i
 
 // aggRun is one aggregate's per-group accumulation state.
 type aggRun struct {
-	kind    vecAggKind
-	cd      *colData
-	src1    bool
-	fastNum bool
-	min     bool
-	strErr  error
+	kind   vecAggKind
+	strErr error
 
 	counts []int64   // count / sum / avg
 	sums   []float64 // sum / avg
@@ -669,43 +687,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		tg = time.Now()
 	}
 
-	aggs := make([]aggRun, len(pq.aggs))
-	for i := range pq.aggs {
-		a := &pq.aggs[i]
-		ar := &aggs[i]
-		ar.kind = a.kind
-		ar.strErr = a.strErr
-		ar.min = a.kind == aggMin
-		if a.kind != aggCountStar {
-			ar.cd = &vp.cols[a.col.src].cols[a.col.col]
-			ar.src1 = a.col.src == 1
-			ar.fastNum = ar.cd.allNum()
-		}
-	}
-
-	var sizes []int64
-	var rep0, rep1 []int32
-	newGroup := func(r0, r1 int32) int32 {
-		gid := int32(len(sizes))
-		sizes = append(sizes, 0)
-		rep0 = append(rep0, r0)
-		rep1 = append(rep1, r1)
-		for ai := range aggs {
-			ar := &aggs[ai]
-			switch ar.kind {
-			case aggCount:
-				ar.counts = append(ar.counts, 0)
-			case aggSum, aggAvg:
-				ar.counts = append(ar.counts, 0)
-				ar.sums = append(ar.sums, 0)
-				ar.isErr = append(ar.isErr, false)
-			case aggMin, aggMax:
-				ar.bestV = append(ar.bestV, Value{})
-				ar.have = append(ar.have, false)
-			}
-		}
-		return gid
-	}
+	var gs groupSet
 
 	// Group-id assignment: single all-numeric key uses the open-addressing
 	// u64 table on raw float bits (exactly appendGroupKey's identity: ±0
@@ -773,7 +755,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 			}
 			if keyCd.isNull(ri) {
 				if nullGid < 0 {
-					nullGid = newGroup(r0, r1)
+					nullGid = gs.add(r0, r1)
 				}
 				gid = nullGid
 			} else {
@@ -781,7 +763,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 				if g := dtab[di]; g >= 0 {
 					gid = g
 				} else {
-					gid = newGroup(r0, r1)
+					gid = gs.add(r0, r1)
 					dtab[di] = gid
 				}
 			}
@@ -792,13 +774,13 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 			}
 			if keyCd.isNull(ri) {
 				if nullGid < 0 {
-					nullGid = newGroup(r0, r1)
+					nullGid = gs.add(r0, r1)
 				}
 				gid = nullGid
 			} else {
 				slot := u64t.insertGrow(math.Float64bits(keyCd.nums[ri]))
 				if *slot < 0 {
-					*slot = newGroup(r0, r1)
+					*slot = gs.add(r0, r1)
 				}
 				gid = *slot
 			}
@@ -809,35 +791,53 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 			}
 			g, ok := gidx[string(kb)]
 			if !ok {
-				g = newGroup(r0, r1)
+				g = gs.add(r0, r1)
 				gidx[string(kb)] = g
 			}
 			gid = g
 		default:
-			if len(sizes) == 0 {
-				newGroup(r0, r1)
+			if len(gs.sizes) == 0 {
+				gs.add(r0, r1)
 			}
 			gid = 0
 		}
-		sizes[gid]++
+		gs.sizes[gid]++
 		gids[p] = gid
 	}
+
+	if !pq.hasGroupBy && len(gs.sizes) == 0 {
+		// Aggregates over empty input still yield one (empty) group.
+		gs.add(-1, -1)
+	}
+	sizes := gs.sizes
 
 	// Pass 2: one tight loop per aggregate over the gid array, with the row
 	// selection, NULL bitmap, and kind dispatch hoisted out of the inner loop.
 	// Accumulation stays in scan order per aggregate, so float sums are
-	// bit-identical to the interleaved order the row path uses.
+	// bit-identical to the interleaved order the row path uses. Each
+	// aggregate's state is sized once, at the final group count.
+	ng := len(sizes)
+	aggs := make([]aggRun, len(pq.aggs))
 	for ai := range aggs {
-		ar := &aggs[ai]
-		if ar.kind == aggCountStar {
+		a, ar := &pq.aggs[ai], &aggs[ai]
+		ar.kind, ar.strErr = a.kind, a.strErr
+		switch a.kind {
+		case aggCountStar:
 			continue
+		case aggCount:
+			ar.counts = make([]int64, ng)
+		case aggSum, aggAvg:
+			ar.counts, ar.sums, ar.isErr = make([]int64, ng), make([]float64, ng), make([]bool, ng)
+		case aggMin, aggMax:
+			ar.bestV, ar.have = make([]Value, ng), make([]bool, ng)
 		}
-		cd := ar.cd
+		cd := &vp.cols[a.col.src].cols[a.col.col]
+		src1, fastNum, isMin := a.col.src == 1, cd.allNum(), a.kind == aggMin
 		rs := r0s
-		if ar.src1 {
+		if src1 {
 			rs = r1s
 		}
-		direct := rs == nil && !ar.src1 // row index == pair index
+		direct := rs == nil && !src1 // row index == pair index
 		switch {
 		case ar.kind == aggCount && direct:
 			for p := 0; p < npairs; p++ {
@@ -851,7 +851,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 					ar.counts[gids[p]]++
 				}
 			}
-		case (ar.kind == aggSum || ar.kind == aggAvg) && ar.fastNum && direct:
+		case (ar.kind == aggSum || ar.kind == aggAvg) && fastNum && direct:
 			nums := cd.nums
 			for p := 0; p < npairs; p++ {
 				if !cd.isNull(p) {
@@ -860,7 +860,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 					ar.counts[g]++
 				}
 			}
-		case (ar.kind == aggSum || ar.kind == aggAvg) && ar.fastNum && rs != nil:
+		case (ar.kind == aggSum || ar.kind == aggAvg) && fastNum && rs != nil:
 			nums := cd.nums
 			for p := 0; p < npairs; p++ {
 				ri := int(rs[p])
@@ -875,7 +875,7 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 			// the (unreachable without a join) src1-with-nil-selection shape.
 			for p := 0; p < npairs; p++ {
 				ri := p
-				if ar.src1 {
+				if src1 {
 					ri = 0
 				}
 				if rs != nil {
@@ -899,16 +899,12 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 					v := cd.value(ri)
 					if !ar.have[gid] {
 						ar.bestV[gid], ar.have[gid] = v, true
-					} else if c := Compare(v, ar.bestV[gid]); (ar.min && c < 0) || (!ar.min && c > 0) {
+					} else if c := Compare(v, ar.bestV[gid]); (isMin && c < 0) || (!isMin && c > 0) {
 						ar.bestV[gid] = v
 					}
 				}
 			}
 		}
-	}
-	if !pq.hasGroupBy && len(sizes) == 0 {
-		// Aggregates over empty input still yield one (empty) group.
-		newGroup(-1, -1)
 	}
 	pq.db.noteBatches(npairs)
 	if prof != nil {
@@ -931,9 +927,9 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		vg.g = g
 		genv.frames = nil
 		if sizes[g] > 0 {
-			frames[0].row = vp.tabs[0].Rows[rep0[g]]
+			frames[0].row = vp.tabs[0].Rows[gs.rep0[g]]
 			if vp.nsrc == 2 {
-				frames[1].row = vp.tabs[1].Rows[rep1[g]]
+				frames[1].row = vp.tabs[1].Rows[gs.rep1[g]]
 			}
 			genv.frames = frames
 		}
@@ -947,6 +943,25 @@ func (pq *planQuery) vecEmitGrouped(outer *rowEnv, prof *Profile, sink *rowSink,
 		prof.addVec("project", "", "vectorized", len(sizes), offered, 0, time.Since(tg))
 	}
 	return offered, nil
+}
+
+// groupSet numbers a grouped run's groups in first-seen order: per group,
+// its pair count and its first pair (r0, r1).
+type groupSet struct {
+	sizes      []int64
+	rep0, rep1 []int32
+}
+
+// add opens a group whose first pair is (r0, r1) and returns its id. It
+// stays out of line: inlined at pass 1's call sites, its appends slowed the
+// per-pair loop by about a fifth (BenchmarkEngineGroupBy/vectorized).
+//
+//go:noinline
+func (gs *groupSet) add(r0, r1 int32) int32 {
+	gs.sizes = append(gs.sizes, 0)
+	gs.rep0 = append(gs.rep0, r0)
+	gs.rep1 = append(gs.rep1, r1)
+	return int32(len(gs.sizes) - 1)
 }
 
 // vecGroup is a grouped batch run's accumulated aggregates, positioned at
